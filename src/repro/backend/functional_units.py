@@ -76,24 +76,6 @@ class FunctionalUnitPool:
             return state[0] != cycle or state[1] < self._counts[kind]
         return any(free <= cycle for free in self._free_at[kind])
 
-    def next_free_cycle(self, op: OpClass) -> int:
-        """Earliest cycle at which a unit executing ``op`` accepts work.
-
-        In the past (≤ current cycle) when a unit is already available.
-        The event clock uses this to bound fast-forwards across windows in
-        which every ready instruction is structurally stalled — mostly
-        runs of operations on the unpipelined FP dividers.
-        """
-        kind = FU_KIND[op]
-        state = self._pipelined.get(kind)
-        if state is not None:
-            # A full pipelined pool frees up one cycle after its (current)
-            # issue burst; otherwise a unit is available now.
-            if state[1] >= self._counts[kind]:
-                return state[0] + 1
-            return state[0]
-        return min(self._free_at[kind])
-
     def try_issue(self, op: OpClass, cycle: int) -> int | None:
         """Reserve a unit for ``op`` at ``cycle`` if one is available.
 
@@ -137,11 +119,6 @@ class FunctionalUnitPool:
                 f"no {FU_KIND[op].name} unit available at cycle {cycle}")
         return latency
 
-    def note_structural_stall(self, count: int = 1) -> None:
-        """Record that a ready instruction could not issue for lack of a unit.
-
-        ``count`` lets the event clock book the stalls of a whole skipped
-        window (one per blocked ready instruction per skipped cycle) in a
-        single call.
-        """
-        self.structural_stalls += count
+    def note_structural_stall(self) -> None:
+        """Record that a ready instruction could not issue for lack of a unit."""
+        self.structural_stalls += 1

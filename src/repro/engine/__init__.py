@@ -1,12 +1,11 @@
-"""Event-driven simulation engine with composable pipeline stages.
+"""Cycle-level simulation engine with composable pipeline stages.
 
 This package hosts the simulation kernel: :class:`MachineState` (the
 explicit shared machine state), the five :class:`Stage` objects
 (commit, writeback, issue, rename, fetch), the indexed scheduler
 structures (:class:`ReadySet`, :class:`WakeupIndex`,
-:class:`CompletionQueue`), the clocks (:class:`CycleClock` for classic
-per-cycle stepping, :class:`EventClock` for per-stage wake-time
-fast-forward) and :class:`SimulationEngine`, which wires them together.
+:class:`CompletionQueue`) and :class:`SimulationEngine`, which wires them
+together and steps the stages once per simulated cycle.
 :func:`simulate` is the one-call entry point.
 
 The legacy :class:`repro.pipeline.processor.Processor` and
@@ -14,7 +13,6 @@ The legacy :class:`repro.pipeline.processor.Processor` and
 package, so existing callers keep working unchanged.
 """
 
-from repro.engine.clock import CycleClock, EventClock
 from repro.engine.engine import DeadlockError, SimulationEngine, simulate
 from repro.engine.events import CompletionQueue, ReadySet, WakeupIndex
 from repro.engine.stages import (
@@ -38,8 +36,6 @@ from repro.engine.state import (
 )
 
 __all__ = [
-    "CycleClock",
-    "EventClock",
     "CompletionQueue",
     "ReadySet",
     "WakeupIndex",

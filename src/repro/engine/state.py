@@ -6,8 +6,8 @@ front end, rename substrate, back end, the scheduler indexes of
 and the statistics — and implements the
 :class:`repro.core.release_policy.PipelineView` protocol the release
 policies query.  The stages in :mod:`repro.engine.stages` are stateless
-and mutate one ``MachineState``; the clocks in :mod:`repro.engine.clock`
-advance :attr:`MachineState.cycle`.
+and mutate one ``MachineState``; :class:`~repro.engine.engine.SimulationEngine`
+advances :attr:`MachineState.cycle` by one after every stage sweep.
 
 The scheduler indexes are maintained *incrementally*: rename either
 inserts an instruction into :attr:`ready` (operands available) or

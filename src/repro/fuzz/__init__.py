@@ -6,12 +6,11 @@ pluggable oracle set —
 
 * **generation** — vectorised vs scalar trace generation (instruction
   streams and bit-generator state must match exactly);
-* **clocks** — ``EventClock`` vs ``CycleClock`` ``SimStats`` equality;
-* **backend** — compiled C core vs Python engine ``SimStats`` equality
-  (honouring every documented skip/fallback path);
 * **conservation** — engine-internal invariants checked by a per-cycle
   probe (free-list accounting, occupancy bounds, Release-Queue
-  liveness, final stat identities).
+  liveness, final stat identities);
+* **backend** — compiled C core vs Python engine ``SimStats`` equality
+  (honouring every documented skip/fallback path).
 
 Failures are minimised by a greedy shrinker and serialised as corpus
 entries; committed entries under ``tests/fuzz/corpus/`` replay in

@@ -96,8 +96,8 @@ def fuzz_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments fuzz",
         description="Differential scenario fuzzer: random workloads and "
-                    "tight machine configs cross-checked between clocks, "
-                    "engine backends and trace-generation paths, plus "
+                    "tight machine configs cross-checked between engine "
+                    "backends and trace-generation paths, plus "
                     "engine-internal conservation invariants.")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed; sample i depends only on "

@@ -4,8 +4,8 @@ The simulation kernel lives in :mod:`repro.engine`: the five stages
 (commit, writeback, issue, rename, fetch) are composable
 :class:`~repro.engine.stages.Stage` objects operating on an explicit
 shared :class:`~repro.engine.state.MachineState`, wired together by a
-:class:`~repro.engine.engine.SimulationEngine` whose event-driven clock
-fast-forwards across provably idle cycles.
+:class:`~repro.engine.engine.SimulationEngine` that steps them once per
+cycle.
 
 This module keeps the historical public surface — :class:`Processor` and
 :func:`simulate` — as thin facades over the engine so experiments, tests
@@ -17,9 +17,8 @@ Attribute access on a :class:`Processor` (``register_files``, ``ros``,
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from repro.engine.clock import CycleClock, EventClock
 from repro.engine.engine import DeadlockError, SimulationEngine
 from repro.engine.engine import simulate as _engine_simulate
 from repro.engine.state import (
@@ -44,14 +43,12 @@ __all__ = [
 class Processor:
     """Trace-driven cycle-level out-of-order processor (paper Table 2).
 
-    Facade over :class:`repro.engine.SimulationEngine`; pass
-    ``clock=CycleClock()`` to force classic per-cycle stepping instead of
-    the event-driven default.
+    Facade over :class:`repro.engine.SimulationEngine`.
     """
 
-    def __init__(self, trace: Trace, config: Optional[ProcessorConfig] = None,
-                 clock: Union[None, CycleClock, EventClock] = None) -> None:
-        self.engine = SimulationEngine(trace, config, clock=clock)
+    def __init__(self, trace: Trace,
+                 config: Optional[ProcessorConfig] = None) -> None:
+        self.engine = SimulationEngine(trace, config)
         self.state = self.engine.state
 
     # ------------------------------------------------------------------
@@ -94,14 +91,12 @@ class Processor:
 
 def simulate(trace: Trace, config: Optional[ProcessorConfig] = None,
              max_instructions: Optional[int] = None,
-             max_cycles: Optional[int] = None,
-             clock: Union[None, CycleClock, EventClock] = None) -> SimStats:
+             max_cycles: Optional[int] = None) -> SimStats:
     """Simulate ``trace`` to completion and return its :class:`SimStats`.
 
     This is the main public entry point: every experiment and example uses
     it.  ``max_instructions`` limits the number of *committed* instructions
-    (defaults to the trace length); ``max_cycles`` is a safety bound;
-    ``clock`` selects the stepping strategy (event-driven by default).
+    (defaults to the trace length); ``max_cycles`` is a safety bound.
     """
     return _engine_simulate(trace, config, max_instructions=max_instructions,
-                            max_cycles=max_cycles, clock=clock)
+                            max_cycles=max_cycles)

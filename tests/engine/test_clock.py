@@ -1,167 +1,56 @@
-"""Unit tests of the event-driven clock's quiescence detection.
+"""The Python engine's clock: every cycle is stepped, stalls are booked per cycle.
 
-Hand-built traces make the expected jumps predictable: a dependent load
-chain leaves the machine with nothing to do for the full memory latency,
-so the event clock must leap straight to the completion event — and a
-resource-stalled rename must book exactly the dispatch stalls the skipped
-cycles would have accumulated.
+A hand-built trace makes the expected stall windows predictable.  The
+class name dates from when the engine could also skip idle cycles; the
+engine now walks every cycle of such a window.
 """
 
 import dataclasses
 
 from repro.backend.functional_units import FUConfig
-from repro.engine import (CycleClock, EventClock, MachineState,
-                          SimulationEngine, default_stages)
+from repro.engine import SimulationEngine
 from repro.isa import FUKind, InstructionBuilder, OpClass, RegClass
 from repro.pipeline.config import ProcessorConfig
 from repro.trace.records import Trace
 
-FAST = dict(warmup=False, enable_wrong_path=False)
+FAST = dict(warmup=False, enable_wrong_path=False, engine="python")
 
-
-def make_trace(name, builder):
-    return Trace(name=name, focus_class=RegClass.INT, instructions=builder.trace())
-
-
-def load_chain_trace(n=6):
-    """Dependent loads: each must wait the full memory latency of the last."""
-    builder = InstructionBuilder(pc=0x1000)
-    addr = 0x800000
-    for i in range(n):
-        # Pointer-chase pattern with widely spread addresses: every load
-        # misses, and the next load's address depends on the loaded value.
-        builder.load(dest=1, addr_reg=1, mem_addr=addr + i * 0x40_000)
-        builder.alu(dest=2, srcs=(1,))
-    return make_trace("chain", builder)
+#: Occupancy of the unpipelined FP divider (cycles per divide).
+FP_DIV_OCCUPANCY = 16
 
 
 class TestFastForward:
-    def test_load_chain_skips_memory_latency(self):
-        trace = load_chain_trace()
-        config = ProcessorConfig(**FAST)
-        engine = SimulationEngine(trace, config, clock=EventClock())
-        stats = engine.run()
-        reference = SimulationEngine(trace, config, clock=CycleClock()).run()
-        assert dataclasses.asdict(stats) == dataclasses.asdict(reference)
-        # Each missing load costs tens of idle cycles; the clock must have
-        # skipped a large share of the run rather than spinning it.
-        assert engine.clock.fast_forwards >= 3
-        assert engine.clock.cycles_skipped > stats.cycles / 3
-
-    def test_jump_aware_dispatch_stall_accounting(self):
-        # A tiny register file with long-lived values forces rename to
-        # stall on the free list across memory-latency gaps: the skipped
-        # cycles' stall counts must be booked, not lost.
-        builder = InstructionBuilder(pc=0x1000)
-        for i in range(120):
-            builder.load(dest=i % 28, addr_reg=30,
-                         mem_addr=0x800000 + i * 0x40_000)
-        trace = make_trace("pressure", builder)
-        config = ProcessorConfig(num_physical_int=40, num_physical_fp=40, **FAST)
-        event_engine = SimulationEngine(trace, config, clock=EventClock())
-        fast = event_engine.run()
-        reference = SimulationEngine(trace, config, clock=CycleClock()).run()
-        assert reference.dispatch_stalls["no_free_int_register"] > 0
-        assert fast.dispatch_stalls == reference.dispatch_stalls
-        assert event_engine.clock.cycles_skipped > 0
-
     def test_structural_stall_window_is_fast_forwarded(self):
         # Six independent FP divides on a single unpipelined divider:
         # after each issue the remaining ready divides are structurally
-        # blocked for the full 16-cycle occupancy.  The clock must jump
-        # those windows (the old whole-machine quiescence test could not —
-        # a ready instruction always forbade skipping) and book one
-        # structural stall per blocked ready entry per skipped cycle.
+        # blocked for the full occupancy.  Each cycle of those windows is
+        # stepped, and books one structural stall per blocked ready entry.
         builder = InstructionBuilder(pc=0x1000)
         for i in range(6):
             builder.alu(dest=10 + i, srcs=(1, 2), fp=True, op=OpClass.FP_DIV)
-        trace = make_trace("divs", builder)
+        trace = Trace(name="divs", focus_class=RegClass.INT,
+                      instructions=builder.trace())
         starved = FUConfig(counts={
             FUKind.SIMPLE_INT: 8, FUKind.INT_MULT: 4, FUKind.SIMPLE_FP: 6,
             FUKind.FP_MULT: 4, FUKind.FP_DIV: 1, FUKind.LOAD_STORE: 4,
         })
         config = ProcessorConfig(functional_units=starved, **FAST)
-        engine = SimulationEngine(trace, config, clock=EventClock())
-        stats = engine.run()
-        reference = SimulationEngine(trace, config, clock=CycleClock()).run()
-        assert dataclasses.asdict(stats) == dataclasses.asdict(reference)
-        assert reference.structural_stalls > 0
-        # ~5 serialized 16-cycle divides of idle-except-stall time.
-        assert engine.clock.cycles_skipped > 20
 
-    def test_parked_load_issues_with_unblocking_store(self):
-        # seq 2 is a store whose address register is fed by a missing
-        # load; seq 3 is a younger, register-independent load.  The load
-        # parks on the store's LSQ wait list and must issue in the very
-        # cycle the store's address becomes known (intra-sweep wakeup).
-        builder = InstructionBuilder(pc=0x1000)
-        builder.load(dest=1, addr_reg=30, mem_addr=0x800000)      # misses
-        builder.alu(dest=2, srcs=(1,))                            # address
-        builder.store(value_reg=3, addr_reg=2, mem_addr=0x1000)
-        builder.load(dest=4, addr_reg=30, mem_addr=0x2000)        # parks
-        trace = make_trace("park", builder)
-        config = ProcessorConfig(**FAST)
-        engine = SimulationEngine(trace, config, clock=CycleClock())
-        issue_cycles = {}
-        while not engine.finished and engine.state.cycle < 500:
-            engine.step()
-            for entry in engine.state.ros:
-                if entry.issued and entry.seq not in issue_cycles:
-                    issue_cycles[entry.seq] = entry.issue_cycle
-        assert issue_cycles[3] == issue_cycles[2]
-        assert issue_cycles[2] > issue_cycles[0]  # store waited for the miss
-        fast = SimulationEngine(trace, config, clock=EventClock()).run()
-        reference = SimulationEngine(trace, config, clock=CycleClock()).run()
-        assert dataclasses.asdict(fast) == dataclasses.asdict(reference)
+        booked = []     # structural stalls booked in each stepped cycle
+        last = 0
 
-    def test_cycle_clock_never_jumps(self):
-        engine = SimulationEngine(load_chain_trace(), ProcessorConfig(**FAST),
-                                  clock=CycleClock())
-        engine.run()
-        assert engine.clock.fast_forwards == 0
-        assert engine.clock.cycles_skipped == 0
+        def probe(state):
+            nonlocal last
+            booked.append(state.fus.structural_stalls - last)
+            last = state.fus.structural_stalls
 
-    def test_step_is_always_single_cycle(self):
-        # Single-stepping (debuggers, the figure2 experiment) must observe
-        # every cycle even under the event clock.
-        engine = SimulationEngine(load_chain_trace(), ProcessorConfig(**FAST),
-                                  clock=EventClock())
-        for expected_cycle in range(1, 40):
-            engine.step()
-            assert engine.state.cycle == expected_cycle
-        assert engine.clock.fast_forwards == 0
+        stats = SimulationEngine(trace, config, probe=probe).run()
+        assert len(booked) == stats.cycles
+        # Five windows, with 5, 4, 3, 2 and 1 divides left waiting.
+        windows = [blocked for blocked in booked if blocked]
+        assert windows == [blocked for blocked in (5, 4, 3, 2, 1)
+                           for _ in range(FP_DIV_OCCUPANCY)]
+        assert stats.structural_stalls == FP_DIV_OCCUPANCY * 15
 
-
-class TestQuiescenceProbe:
-    def test_busy_machine_is_not_quiescent(self):
-        builder = InstructionBuilder(pc=0x1000)
-        for i in range(32):
-            builder.alu(dest=1 + i % 8, srcs=(10,))
-        engine = SimulationEngine(make_trace("busy", builder),
-                                  ProcessorConfig(**FAST), clock=EventClock())
-        # Ready front end + issuable work: no jump may happen at cycle 0.
-        engine.clock.advance(engine.state)
-        assert engine.state.cycle == 0
-
-    def test_drained_machine_is_not_fast_forwarded_forever(self):
-        trace = load_chain_trace(2)
-        engine = SimulationEngine(trace, ProcessorConfig(**FAST),
-                                  clock=EventClock())
-        engine.run()
-        assert engine.finished
-
-    def test_engine_uses_event_clock_by_default(self):
-        engine = SimulationEngine(load_chain_trace(), ProcessorConfig(**FAST))
-        assert isinstance(engine.clock, EventClock)
-
-    def test_stage_wiring(self):
-        names = [stage.name for stage in default_stages()]
-        assert names == ["commit", "writeback", "issue", "rename", "fetch"]
-
-    def test_machine_state_implements_pipeline_view(self):
-        from repro.core.release_policy import PipelineView
-
-        state = MachineState(load_chain_trace(), ProcessorConfig(**FAST))
-        assert isinstance(state, PipelineView)
-        assert state.current_cycle() == 0
-        assert not state.is_committed(0)
+        unprobed = SimulationEngine(trace, config).run()
+        assert dataclasses.asdict(unprobed) == dataclasses.asdict(stats)

@@ -17,9 +17,12 @@ import logging
 
 import pytest
 
-from repro.engine import CycleClock, SimulationEngine
+from repro.backend.functional_units import FUConfig
+from repro.engine import SimulationEngine
 from repro.engine import accel
+from repro.isa import FUKind, InstructionBuilder, RegClass
 from repro.pipeline.config import ProcessorConfig
+from repro.trace.records import Trace
 from repro.trace.workloads import get_workload
 
 POLICIES = ("conv", "basic", "extended")
@@ -173,6 +176,40 @@ class TestBitIdenticalStats:
         assert dataclasses.asdict(stats["compiled"]) == \
             dataclasses.asdict(stats["python"])
 
+    def test_structural_stall_window_equivalence(self):
+        # One unpipelined FP divider: runs of divides leave ready
+        # instructions structurally blocked for the full 16-cycle
+        # occupancy.
+        starved = FUConfig(counts={
+            FUKind.SIMPLE_INT: 8, FUKind.INT_MULT: 4, FUKind.SIMPLE_FP: 6,
+            FUKind.FP_MULT: 4, FUKind.FP_DIV: 1, FUKind.LOAD_STORE: 4,
+        })
+        reference, compiled, _ = run_both("swim", "conv",
+                                          functional_units=starved)
+        assert reference.structural_stalls > 0
+        assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
+
+    def test_register_pressure_stall_equivalence(self):
+        # Long-lived missing loads over 28 logical registers: rename
+        # stalls on the free list of a 40-register file.
+        builder = InstructionBuilder(pc=0x1000)
+        for i in range(120):
+            builder.load(dest=i % 28, addr_reg=30,
+                         mem_addr=0x800000 + i * 0x40_000)
+        trace = Trace(name="pressure", focus_class=RegClass.INT,
+                      instructions=builder.trace())
+        stats = {}
+        for backend in ("python", "compiled"):
+            config = ProcessorConfig(num_physical_int=40, num_physical_fp=40,
+                                     warmup=False, enable_wrong_path=False,
+                                     engine=backend)
+            engine = SimulationEngine(trace, config)
+            stats[backend] = engine.run()
+            assert engine.backend_used == backend
+        assert stats["python"].dispatch_stalls["no_free_int_register"] > 0
+        assert dataclasses.asdict(stats["compiled"]) == \
+            dataclasses.asdict(stats["python"])
+
     def test_ready_peak_reported(self):
         # The compiled core reports the scheduler's ready-set peak through
         # the engine (the bench probe records it); it must match Python's.
@@ -181,7 +218,7 @@ class TestBitIdenticalStats:
                                  num_physical_int=48, num_physical_fp=48,
                                  lsq_size=12, engine="python")
         trace = get_workload("compress", TRACE_LENGTH, seed=0)
-        python_engine = SimulationEngine(trace, config, clock=CycleClock())
+        python_engine = SimulationEngine(trace, config)
         python_engine.run()
         assert engine.compiled_ready_peak == python_engine.state.ready.peak_size
 

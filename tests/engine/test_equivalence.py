@@ -1,17 +1,14 @@
-"""Cycle-accuracy equivalence of the event-driven engine.
+"""The Python engine's run loop matches a loop of single-cycle steps.
 
-The event-driven :class:`~repro.engine.clock.EventClock` fast-forwards
-across provably idle *and partially idle* cycles (stall-only windows are
-skipped with their stalls booked in bulk); these tests pin the core
-guarantee: for every release policy and workload, the resulting
-:class:`SimStats` — cycles, IPC, stall counts, occupancy averages,
-everything — are *bit-identical* to the classic per-cycle loop
-(:class:`~repro.engine.clock.CycleClock`).
+:meth:`SimulationEngine.run` is the hot loop: it flattens the drain test
+and folds the instruction, cycle and deadlock limits into one sweep.
+:meth:`SimulationEngine.step` is its definition — one stage sweep, one
+cycle.  These tests pin that, for every release policy, workload, hazard
+class and limit, ``run()`` produces :class:`SimStats` bit-identical to a
+plain loop of ``step()`` calls stopped on the same conditions.
 
-Both clocks drive the same indexed scheduler (ready set + wakeup index +
-completion queue), so the suite also cross-checks that the incremental
-index maintenance agrees with per-cycle stepping under squashes,
-exceptions and every hazard class.
+The test names date from when the engine also had an event-driven clock
+that skipped idle cycles; they are kept so the same cases stay pinned.
 """
 
 import dataclasses
@@ -19,7 +16,7 @@ import dataclasses
 import pytest
 
 from repro.backend.functional_units import FUConfig
-from repro.engine import CycleClock, EventClock, SimulationEngine
+from repro.engine import SimulationEngine
 from repro.isa import FUKind
 from repro.pipeline.config import ProcessorConfig
 from repro.trace.workloads import get_workload
@@ -33,25 +30,40 @@ WORKLOADS = ("gcc", "swim")
 TRACE_LENGTH = 2_500
 
 
+def step_until_done(engine, max_instructions=None, max_cycles=None):
+    """The reference loop: single ``step()`` calls until a stop condition."""
+    state = engine.state
+    limit = max_instructions if max_instructions is not None else len(state.trace)
+    while max_cycles is None or state.cycle < max_cycles:
+        engine.step()
+        if state.stats.committed_instructions >= limit or engine.finished:
+            break
+    return state.collect_stats()
+
+
 def run_both(workload: str, policy: str, *, num_registers: int = 48,
-             trace_length: int = TRACE_LENGTH, **config_kwargs):
-    """Run one (workload, policy) point under both clocks."""
+             trace_length: int = TRACE_LENGTH, run_kwargs=None,
+             **config_kwargs):
+    """Run one point through ``run()`` and through the ``step()`` loop."""
+    run_kwargs = run_kwargs or {}
     config = ProcessorConfig(release_policy=policy,
                              num_physical_int=num_registers,
                              num_physical_fp=num_registers,
-                             warmup=False, **config_kwargs)
+                             warmup=False, engine="python", **config_kwargs)
     trace = get_workload(workload, trace_length, seed=0)
-    per_cycle = SimulationEngine(trace, config, clock=CycleClock())
-    event = SimulationEngine(trace, config, clock=EventClock())
-    return per_cycle.run(), event.run(), event
+    stepped = step_until_done(SimulationEngine(trace, config), **run_kwargs)
+    engine = SimulationEngine(trace, config)
+    ran = engine.run(**run_kwargs)
+    assert engine.backend_used == "python"
+    return stepped, ran
 
 
 class TestBitIdenticalStats:
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_event_clock_matches_per_cycle_loop(self, workload, policy):
-        reference, fast, _engine = run_both(workload, policy)
-        assert dataclasses.asdict(fast) == dataclasses.asdict(reference)
+        reference, ran = run_both(workload, policy)
+        assert dataclasses.asdict(ran) == dataclasses.asdict(reference)
 
     @pytest.mark.parametrize("tight_kwargs", [
         {"ros_size": 8},                      # ros_full dispatch stalls
@@ -60,106 +72,59 @@ class TestBitIdenticalStats:
     ], ids=["ros_full", "lsq_full", "checkpoints_full"])
     def test_structural_hazard_stall_booking(self, tight_kwargs):
         # The default matrix only produces register-shortage stalls; tiny
-        # back-end structures force the other dispatch hazards, so the
-        # clock's jump-aware booking of every stall reason stays pinned.
+        # back-end structures force the other dispatch hazards.
         stall_key = {"ros_size": "ros_full", "lsq_size": "lsq_full",
                      "max_pending_branches": "checkpoints_full"}
-        reference, fast, _ = run_both("gcc", "conv", num_registers=96,
-                                      **tight_kwargs)
+        reference, ran = run_both("gcc", "conv", num_registers=96,
+                                  **tight_kwargs)
         (knob, _), = tight_kwargs.items()
         assert reference.dispatch_stalls[stall_key[knob]] > 0
-        assert dataclasses.asdict(fast) == dataclasses.asdict(reference)
+        assert dataclasses.asdict(ran) == dataclasses.asdict(reference)
 
     def test_structural_stall_window_booking(self):
         # A single unpipelined FP divider turns divide runs into windows
-        # where ready instructions exist but nothing can issue.  The clock
-        # fast-forwards through them, booking one structural stall per
-        # blocked ready entry per skipped cycle — totals must stay pinned.
+        # where ready instructions exist but nothing can issue; each
+        # blocked ready entry books one structural stall per cycle.
         starved = FUConfig(counts={
             FUKind.SIMPLE_INT: 8, FUKind.INT_MULT: 4, FUKind.SIMPLE_FP: 6,
             FUKind.FP_MULT: 4, FUKind.FP_DIV: 1, FUKind.LOAD_STORE: 4,
         })
-        reference, fast, engine = run_both("swim", "conv",
-                                           functional_units=starved)
+        reference, ran = run_both("swim", "conv", functional_units=starved)
         assert reference.structural_stalls > 0
-        assert dataclasses.asdict(fast) == dataclasses.asdict(reference)
-        assert engine.clock.cycles_skipped > 0
-
-    def test_parked_load_wait_lists(self):
-        # A tiny LSQ plus a store-heavy integer workload exercises the
-        # per-LSQ wait lists: loads blocked on older unknown store
-        # addresses must re-enter the ready set exactly when the blocking
-        # store issues, including intra-cycle (same issue sweep) wakeups.
-        reference, fast, engine = run_both("compress", "basic",
-                                           lsq_size=12)
-        assert dataclasses.asdict(fast) == dataclasses.asdict(reference)
-        # The run must actually have drained through the scheduler.
-        assert engine.state.ready.peak_size > 0
-
-    def test_scheduler_indexes_drain_clean(self):
-        # After a completed run nothing may linger: a leaked ready entry
-        # or waiter would mean the incremental maintenance lost an event.
-        for policy in POLICIES:
-            _, _, engine = run_both("gcc", policy)
-            state = engine.state
-            assert engine.finished
-            assert len(state.ready) == 0
-            assert len(state.consumers) == 0
-
-    def test_fast_forward_actually_happens(self):
-        # The equivalence above would hold trivially if the event clock
-        # never skipped; make sure the matrix exercises real jumps.
-        skipped = 0
-        for workload in WORKLOADS:
-            for policy in POLICIES:
-                _, _, engine = run_both(workload, policy)
-                skipped += engine.clock.cycles_skipped
-        assert skipped > 0
+        assert dataclasses.asdict(ran) == dataclasses.asdict(reference)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_key_metrics_spot_check(self, policy):
         # Redundant with the asdict comparison, but pins the fields the
         # paper's figures are built from with readable failures.
-        reference, fast, _ = run_both("swim", policy)
-        assert fast.cycles == reference.cycles
-        assert fast.ipc == reference.ipc
-        assert fast.dispatch_stalls == reference.dispatch_stalls
-        assert fast.structural_stalls == reference.structural_stalls
-        assert fast.int_registers.occupancy == reference.int_registers.occupancy
-        assert fast.fp_registers.occupancy == reference.fp_registers.occupancy
+        reference, ran = run_both("swim", policy)
+        assert ran.cycles == reference.cycles
+        assert ran.ipc == reference.ipc
+        assert ran.dispatch_stalls == reference.dispatch_stalls
+        assert ran.structural_stalls == reference.structural_stalls
+        assert ran.int_registers.occupancy == reference.int_registers.occupancy
+        assert ran.fp_registers.occupancy == reference.fp_registers.occupancy
 
 
 class TestLimitEquivalence:
     def test_max_cycles_cap_lands_on_same_cycle(self):
-        # A max_cycles bound that lands inside a fast-forward gap must cap
-        # the jump exactly where the per-cycle loop stops stepping.
         for max_cycles in (50, 137, 400):
-            config = ProcessorConfig(release_policy="conv", warmup=False,
-                                     num_physical_int=48, num_physical_fp=48)
-            trace = get_workload("swim", 1_500, seed=0)
-            ref = SimulationEngine(trace, config, clock=CycleClock()).run(
-                max_cycles=max_cycles)
-            fast = SimulationEngine(trace, config, clock=EventClock()).run(
-                max_cycles=max_cycles)
-            assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
-            assert fast.cycles <= max_cycles
+            reference, ran = run_both("swim", "conv", trace_length=1_500,
+                                      run_kwargs={"max_cycles": max_cycles})
+            assert dataclasses.asdict(ran) == dataclasses.asdict(reference)
+            assert ran.cycles == max_cycles
 
     def test_max_instructions_equivalence(self):
-        config = ProcessorConfig(release_policy="extended", warmup=False)
-        trace = get_workload("gcc", 1_500, seed=0)
-        ref = SimulationEngine(trace, config, clock=CycleClock()).run(
-            max_instructions=600)
-        fast = SimulationEngine(trace, config, clock=EventClock()).run(
-            max_instructions=600)
-        assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+        reference, ran = run_both("gcc", "extended", trace_length=1_500,
+                                  num_registers=64,
+                                  run_kwargs={"max_instructions": 600})
+        assert dataclasses.asdict(ran) == dataclasses.asdict(reference)
+        assert ran.committed_instructions >= 600
 
     def test_exception_recovery_equivalence(self):
         # Precise-exception flushes rebuild the map table mid-run; the
-        # fast-forwarded run must recover identically.
-        config = ProcessorConfig(release_policy="extended", warmup=False,
-                                 exception_rate=0.002)
-        trace = get_workload("gcc", 1_500, seed=0)
-        ref = SimulationEngine(trace, config, clock=CycleClock()).run()
-        fast = SimulationEngine(trace, config, clock=EventClock()).run()
-        assert ref.exceptions_taken > 0
-        assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+        # run loop must recover exactly as single steps do.
+        reference, ran = run_both("gcc", "extended", trace_length=1_500,
+                                  num_registers=64, exception_rate=0.002)
+        assert reference.exceptions_taken > 0
+        assert dataclasses.asdict(ran) == dataclasses.asdict(reference)

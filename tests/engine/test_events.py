@@ -1,13 +1,18 @@
 """Unit tests of the indexed scheduler structures (ready set, wakeup
-index, completion queue) and of the backend hooks that feed them."""
+index, completion queue), of the backend hooks that feed them, and of
+their maintenance over whole Python-engine runs."""
 
 import pytest
 
 from repro.backend.lsq import LoadStoreQueue
 from repro.backend.ros import ROSEntry, ReorderStructure
 from repro.backend.functional_units import FunctionalUnitPool
+from repro.engine import SimulationEngine
 from repro.engine.events import CompletionQueue, ReadySet, WakeupIndex
-from repro.isa import Instruction, OpClass
+from repro.isa import Instruction, InstructionBuilder, OpClass, RegClass
+from repro.pipeline.config import ProcessorConfig
+from repro.trace.records import Trace
+from repro.trace.workloads import get_workload
 
 
 def entry(seq: int) -> ROSEntry:
@@ -92,17 +97,15 @@ class TestWakeupIndex:
 
 
 class TestCompletionQueue:
-    def test_next_cycle_is_minimum_over_buckets(self):
+    def test_pop_due_drains_exactly_one_cycle(self):
         queue = CompletionQueue()
         queue.schedule(30, entry(1))
         queue.schedule(10, entry(2))
         queue.schedule(10, entry(3))
-        assert queue.next_cycle() == 10
         assert [e.seq for _seq, e in queue.pop_due(10)] == [2, 3]
-        assert queue.next_cycle() == 30
+        assert len(queue) == 1
         assert queue.pop_due(11) is None
         assert queue.pop_due(30)[0][1].seq == 1
-        assert queue.next_cycle() is None
         assert not queue
 
     def test_pop_due_keeps_dead_events_for_in_loop_liveness_checks(self):
@@ -127,7 +130,7 @@ class TestCompletionQueue:
         queue.schedule(8, entry(2))
         assert sorted(e.seq for e in queue.pending()) == [1, 2]
         queue.clear()
-        assert queue.next_cycle() is None
+        assert not queue
 
 
 class TestBackendHooks:
@@ -171,19 +174,69 @@ class TestBackendHooks:
         assert lsq.mark_address_known(0) == [load]  # parked ref survives;
         # the issue stage skips it via the squashed flag.
 
-    def test_fu_next_free_cycle(self):
+    def test_fu_unpipelined_divider_occupancy(self):
         fus = FunctionalUnitPool()
-        assert fus.next_free_cycle(OpClass.FP_DIV) == 0
         fus.issue(OpClass.FP_DIV, cycle=3)      # unpipelined, 16 cycles
-        assert fus.next_free_cycle(OpClass.FP_DIV) == 0  # 3 more units free
+        assert fus.can_issue(OpClass.FP_DIV, 3)  # 3 more units free
         for _ in range(3):
             fus.issue(OpClass.FP_DIV, cycle=3)
-        assert fus.next_free_cycle(OpClass.FP_DIV) == 19
         assert not fus.can_issue(OpClass.FP_DIV, 18)
         assert fus.can_issue(OpClass.FP_DIV, 19)
 
-    def test_structural_stall_bulk_booking(self):
-        fus = FunctionalUnitPool()
-        fus.note_structural_stall()
-        fus.note_structural_stall(41)
-        assert fus.structural_stalls == 42
+
+class TestSchedulerOverRuns:
+    """Incremental index maintenance over whole Python-engine runs."""
+
+    @staticmethod
+    def run(workload, policy, **config_kwargs):
+        config = ProcessorConfig(release_policy=policy, warmup=False,
+                                 num_physical_int=48, num_physical_fp=48,
+                                 engine="python", **config_kwargs)
+        engine = SimulationEngine(get_workload(workload, 2_500, seed=0),
+                                  config)
+        engine.run()
+        return engine
+
+    def test_scheduler_indexes_drain_clean(self):
+        # After a completed run nothing may linger: a leaked ready entry
+        # or waiter would mean the incremental maintenance lost an event.
+        for policy in ("conv", "basic", "extended"):
+            engine = self.run("gcc", policy)
+            state = engine.state
+            assert engine.finished
+            assert len(state.ready) == 0
+            assert len(state.consumers) == 0
+
+    def test_parked_load_wait_lists(self):
+        # A tiny LSQ plus a store-heavy integer workload exercises the
+        # per-LSQ wait lists: loads blocked on older unknown store
+        # addresses must re-enter the ready set when the blocking store
+        # issues, or the run would deadlock or strand them.
+        engine = self.run("compress", "basic", lsq_size=12)
+        assert engine.finished
+        assert engine.stats.committed_instructions == len(engine.state.trace)
+        assert engine.state.ready.peak_size > 0
+        assert len(engine.state.ready) == 0
+
+    def test_parked_load_issues_with_unblocking_store(self):
+        # seq 2 is a store whose address register is fed by a missing
+        # load; seq 3 is a younger, register-independent load.  The load
+        # parks on the store's LSQ wait list and must issue in the very
+        # cycle the store's address becomes known (intra-sweep wakeup).
+        builder = InstructionBuilder(pc=0x1000)
+        builder.load(dest=1, addr_reg=30, mem_addr=0x800000)      # misses
+        builder.alu(dest=2, srcs=(1,))                            # address
+        builder.store(value_reg=3, addr_reg=2, mem_addr=0x1000)
+        builder.load(dest=4, addr_reg=30, mem_addr=0x2000)        # parks
+        trace = Trace(name="park", focus_class=RegClass.INT,
+                      instructions=builder.trace())
+        config = ProcessorConfig(warmup=False, enable_wrong_path=False)
+        engine = SimulationEngine(trace, config)
+        issue_cycles = {}
+        while not engine.finished and engine.state.cycle < 500:
+            engine.step()
+            for ros_entry in engine.state.ros:
+                if ros_entry.issued and ros_entry.seq not in issue_cycles:
+                    issue_cycles[ros_entry.seq] = ros_entry.issue_cycle
+        assert issue_cycles[3] == issue_cycles[2]
+        assert issue_cycles[2] > issue_cycles[0]  # store waited for the miss

@@ -90,6 +90,21 @@ class TestEntryFormat:
         with pytest.raises(ValueError, match="unknown oracles: nope"):
             entry_from_dict(data)
 
+    def test_retired_clocks_oracle_names_file_and_known_oracles(
+            self, tmp_path):
+        # The retired ``clocks`` oracle compared two stepping modes of
+        # the Python engine; an entry still naming it must fail loudly.
+        data = self.entry()
+        data["oracles"] = ["conservation", "clocks"]
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as err:
+            load_corpus_file(path)
+        message = str(err.value)
+        assert str(path) in message
+        assert "unknown oracles: clocks" in message
+        assert "known oracles: backend, conservation, generation" in message
+
     def test_unknown_config_field_rejected(self):
         data = self.entry()
         data["config"]["not_a_field"] = 3

@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.engine.clock import CycleClock, EventClock
 from repro.engine.engine import SimulationEngine
 from repro.fuzz.invariants import (DEEP_CHECK_INTERVAL, InvariantProbe,
                                    InvariantViolation)
@@ -23,23 +22,12 @@ def small_config(**overrides):
 
 
 class TestProbeHook:
-    def test_probe_sees_every_cycle_under_cycleclock(self, small_trace):
+    def test_probe_sees_every_cycle(self, small_trace):
         probe = InvariantProbe()
-        engine = SimulationEngine(small_trace, small_config(),
-                                  clock=CycleClock(), probe=probe)
+        engine = SimulationEngine(small_trace, small_config(), probe=probe)
         stats = engine.run()
         assert probe.cycles_probed == stats.cycles
         assert probe.deep_checks == stats.cycles // DEEP_CHECK_INTERVAL
-
-    def test_probe_skips_fast_forwarded_cycles_under_eventclock(
-            self, small_trace):
-        probe = InvariantProbe()
-        engine = SimulationEngine(small_trace, small_config(),
-                                  clock=EventClock(), probe=probe)
-        stats = engine.run()
-        # The event clock jumps quiescent gaps; the probe only sees the
-        # executed cycles.
-        assert 0 < probe.cycles_probed <= stats.cycles
 
     def test_probe_pins_the_python_engine(self, small_trace):
         # With a probe attached the compiled core must not be dispatched:
@@ -64,10 +52,8 @@ class TestProbeHook:
     def test_no_probe_no_overhead_path(self, small_trace):
         # Without a probe the run still completes identically (guard for
         # the hoisted `probe is None` fast path).
-        base = SimulationEngine(small_trace, small_config(),
-                                clock=CycleClock()).run()
+        base = SimulationEngine(small_trace, small_config()).run()
         probed_engine = SimulationEngine(small_trace, small_config(),
-                                         clock=CycleClock(),
                                          probe=InvariantProbe())
         probed = probed_engine.run()
         assert dataclasses.asdict(base) == dataclasses.asdict(probed)
@@ -76,8 +62,7 @@ class TestProbeHook:
 class TestInvariantChecks:
     def run_probed(self, trace, config):
         probe = InvariantProbe()
-        engine = SimulationEngine(trace, config, clock=CycleClock(),
-                                  probe=probe)
+        engine = SimulationEngine(trace, config, probe=probe)
         stats = engine.run()
         return probe, engine, stats
 
@@ -127,8 +112,7 @@ class TestInvariantChecks:
         config = small_config(release_policy="extended",
                               num_physical_int=40, num_physical_fp=40)
         probe = InvariantProbe()
-        engine = SimulationEngine(small_trace, config, clock=CycleClock(),
-                                  probe=probe)
+        engine = SimulationEngine(small_trace, config, probe=probe)
         engine.run()
         state = engine.state
         policy = state.policies[RegClass.INT]

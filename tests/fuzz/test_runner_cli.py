@@ -106,7 +106,7 @@ class TestCli:
             fuzz_main(["--samples", "1", "--oracles", "quantum"])
         err = capsys.readouterr().err
         assert "unknown oracles: quantum" in err
-        assert "backend, clocks, conservation, generation" in err
+        assert "backend, conservation, generation" in err
 
     def test_failures_exit_nonzero_and_write_entries(self, tmp_path,
                                                      monkeypatch, capsys):
