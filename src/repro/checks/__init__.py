@@ -7,11 +7,6 @@ linters cannot see because they span files, languages and subsystems:
   ``trace/``, ``backend/``, ``rename/``, ``pipeline/``) must draw every
   random number from an explicitly seeded generator and must never read
   wall-clock time or iterate over unordered sets;
-* **stats-ABI** — the :class:`~repro.pipeline.stats.SimStats` dataclass,
-  the ``STATS`` slot enum in ``engine/accel/core.c``, the mirrored
-  namespaces in ``engine/accel/loader.py`` and the stats assembly in
-  ``engine/accel/compiled.py`` must agree field for field (the drift
-  class the gshare ``pred_raw`` incident came from);
 * **cache-key completeness** — every ``ProcessorConfig`` field the
   engine reads must be covered by the sweep-cache key derivation in
   ``analysis/cache.py``, so a new config knob can never silently serve
@@ -40,9 +35,8 @@ from repro.checks.base import (CHECKERS, Baseline, Checker, Finding, Project,
 
 # Importing the checker modules populates the registry.
 from repro.checks import (async_blocking, cache_key, determinism,  # noqa: E402
-                          exceptions, stats_abi)
+                          exceptions)
 
 __all__ = ["CHECKERS", "Baseline", "Checker", "Finding", "Project",
            "register", "run_checks",
-           "async_blocking", "cache_key", "determinism", "exceptions",
-           "stats_abi"]
+           "async_blocking", "cache_key", "determinism", "exceptions"]

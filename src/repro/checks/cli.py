@@ -25,8 +25,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Contract-checking static analysis for this repository "
-                    "(determinism, stats-ABI drift, cache-key completeness, "
-                    "async-blocking, exception discipline).")
+                    "(determinism, cache-key completeness, async-blocking, "
+                    "exception discipline).")
     parser.add_argument(
         "--root", type=Path, default=None,
         help="repository root (default: found by walking up from the "

@@ -46,6 +46,7 @@ fallback of the accelerated backend's contract).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import logging
 from typing import NamedTuple, Optional, TYPE_CHECKING
 
@@ -53,10 +54,6 @@ import numpy as np
 
 from repro.engine.accel import loader
 from repro.engine.accel.artefacts import EXPORT_CACHE
-from repro.engine.accel.loader import (A, CFG, NCFG, RF, RQ_LEVELS_MAX,
-                                       RUN_DEADLOCK, RUN_FINISHED,
-                                       RUN_INTERNAL, RUN_NEED_EXC,
-                                       RUN_NEED_WRONGPATH, SC, ST, ST_N)
 from repro.isa import FUKind, OpClass
 from repro.pipeline.stats import RegisterFileStats, SimStats
 from repro.core.register_state import OccupancyTotals
@@ -76,10 +73,12 @@ WP_BUFFER = 1024
 #: instruction; refills are a single batched ``Generator.random`` call).
 EXC_BUFFER = 4096
 
-_POLICY_CODES = {"conv": 0, "conventional": 0, "basic": 1, "extended": 2}
+#: ``ProcessorConfig.release_policy`` -> name of the C policy code.
+_POLICY_CODES = {"conv": "POLICY_CONV", "conventional": "POLICY_CONV",
+                 "basic": "POLICY_BASIC", "extended": "POLICY_EXTENDED"}
 
-_FU_KINDS = tuple(FUKind)          # 6 pools, enum order == C pool order
-_OP_CLASSES = tuple(OpClass)       # 11 classes, enum order == C op order
+_FU_KINDS = tuple(FUKind)
+_OP_CLASSES = tuple(OpClass)
 
 
 class CompiledRun(NamedTuple):
@@ -98,17 +97,12 @@ def unsupported_reason(config_or_state) -> Optional[str]:
     """Why this configuration cannot run on the compiled core (None = can).
 
     Accepts a :class:`~repro.pipeline.config.ProcessorConfig` or anything
-    carrying one as ``.config`` (a ``MachineState``).  The C core sizes
-    its Release Queue from the config but caps the depth at
-    ``RQ_LEVELS_MAX``, and models exactly the paper's six-pool /
-    eleven-class functional units; configurations outside that envelope
-    quietly use the Python engine.
+    carrying one as ``.config`` (a ``MachineState``).  The C core models
+    exactly the paper's six-pool / eleven-class functional units;
+    configurations outside that envelope quietly use the Python engine.
+    Needs no loaded core: it runs at machine construction.
     """
     cfg = getattr(config_or_state, "config", config_or_state)
-    if (_POLICY_CODES.get(cfg.release_policy) == 2
-            and cfg.max_pending_branches > RQ_LEVELS_MAX):
-        return (f"extended policy needs max_pending_branches <= "
-                f"{RQ_LEVELS_MAX} (got {cfg.max_pending_branches})")
     counts = cfg.functional_units.counts
     latencies = cfg.functional_units.latencies
     if any(kind not in _FU_KINDS for kind in counts):
@@ -121,47 +115,48 @@ def unsupported_reason(config_or_state) -> Optional[str]:
 # ----------------------------------------------------------------------
 # Config vector
 # ----------------------------------------------------------------------
-def _config_vector(state: "MachineState", warm_len: int) -> "np.ndarray":
+def _config_vector(lib, state: "MachineState",
+                   warm_len: int) -> "np.ndarray":
     cfg = state.config
     mem = cfg.memory
     fus = cfg.functional_units
-    vec = np.zeros(NCFG, dtype=np.int64)
-    vec[CFG.TRACE_LEN] = len(state.trace.instructions)
-    vec[CFG.FETCH_W] = cfg.fetch_width
-    vec[CFG.RENAME_W] = cfg.rename_width
-    vec[CFG.ISSUE_W] = cfg.issue_width
-    vec[CFG.COMMIT_W] = cfg.commit_width
-    vec[CFG.MAX_TAKEN] = cfg.max_taken_branches_per_cycle
-    vec[CFG.FRONTEND] = cfg.frontend_stages
-    vec[CFG.ROS] = cfg.ros_size
-    vec[CFG.LSQ] = cfg.lsq_size
-    vec[CFG.CK_CAP] = cfg.max_pending_branches
-    vec[CFG.NPHYS_INT] = cfg.num_physical_int
-    vec[CFG.NPHYS_FP] = cfg.num_physical_fp
-    vec[CFG.NLOG_INT] = cfg.num_logical_int
-    vec[CFG.NLOG_FP] = cfg.num_logical_fp
-    vec[CFG.GSHARE_BITS] = cfg.gshare_history_bits
-    vec[CFG.BTB_SETS] = cfg.btb_entries // cfg.btb_associativity
-    vec[CFG.BTB_ASSOC] = cfg.btb_associativity
-    vec[CFG.POLICY] = _POLICY_CODES[cfg.release_policy]
-    vec[CFG.REUSE] = int(cfg.reuse_on_committed_lu)
-    vec[CFG.WP_ENABLED] = int(cfg.enable_wrong_path)
-    vec[CFG.EXC_ENABLED] = int(cfg.exception_rate > 0.0)
-    for base, level in ((CFG.L1I_SETS, mem.l1i), (CFG.L1D_SETS, mem.l1d),
-                        (CFG.L2_SETS, mem.l2)):
-        vec[base + 0] = level.n_sets
-        vec[base + 1] = level.associativity
-        vec[base + 2] = level.line_bytes.bit_length() - 1
-        vec[base + 3] = level.hit_latency
-    vec[CFG.MEM_LAT] = mem.main_memory_latency
-    for k, kind in enumerate(_FU_KINDS):
-        vec[CFG.FU + 2 * k] = fus.counts.get(kind, 0)
-        vec[CFG.FU + 2 * k + 1] = int(kind in fus.unpipelined)
+    vec = np.zeros(lib.NCFG, dtype=np.int64)
+    vec[lib.CFG_TRACE_LEN] = len(state.trace.instructions)
+    vec[lib.CFG_FETCH_W] = cfg.fetch_width
+    vec[lib.CFG_RENAME_W] = cfg.rename_width
+    vec[lib.CFG_ISSUE_W] = cfg.issue_width
+    vec[lib.CFG_COMMIT_W] = cfg.commit_width
+    vec[lib.CFG_MAX_TAKEN] = cfg.max_taken_branches_per_cycle
+    vec[lib.CFG_FRONTEND] = cfg.frontend_stages
+    vec[lib.CFG_ROS] = cfg.ros_size
+    vec[lib.CFG_LSQ] = cfg.lsq_size
+    vec[lib.CFG_CK_CAP] = cfg.max_pending_branches
+    vec[lib.CFG_NPHYS_INT] = cfg.num_physical_int
+    vec[lib.CFG_NPHYS_FP] = cfg.num_physical_fp
+    vec[lib.CFG_NLOG_INT] = cfg.num_logical_int
+    vec[lib.CFG_NLOG_FP] = cfg.num_logical_fp
+    vec[lib.CFG_GSHARE_BITS] = cfg.gshare_history_bits
+    vec[lib.CFG_BTB_SETS] = cfg.btb_entries // cfg.btb_associativity
+    vec[lib.CFG_BTB_ASSOC] = cfg.btb_associativity
+    vec[lib.CFG_POLICY] = getattr(lib, _POLICY_CODES[cfg.release_policy])
+    vec[lib.CFG_REUSE] = int(cfg.reuse_on_committed_lu)
+    vec[lib.CFG_WP_ENABLED] = int(cfg.enable_wrong_path)
+    vec[lib.CFG_EXC_ENABLED] = int(cfg.exception_rate > 0.0)
+    for name, level in (("L1I", mem.l1i), ("L1D", mem.l1d), ("L2", mem.l2)):
+        shift = level.line_bytes.bit_length() - 1
+        vec[getattr(lib, f"CFG_{name}_SETS")] = level.n_sets
+        vec[getattr(lib, f"CFG_{name}_ASSOC")] = level.associativity
+        vec[getattr(lib, f"CFG_{name}_SHIFT")] = shift
+        vec[getattr(lib, f"CFG_{name}_LAT")] = level.hit_latency
+    vec[lib.CFG_MEM_LAT] = mem.main_memory_latency
+    for kind in _FU_KINDS:
+        vec[lib.CFG_FU_COUNT + kind] = fus.counts.get(kind, 0)
+        vec[lib.CFG_FU_UNPIPELINED + kind] = int(kind in fus.unpipelined)
     for op in _OP_CLASSES:
-        vec[CFG.OP_LAT + int(op)] = fus.latencies[op]
-    vec[CFG.WP_CAP] = WP_BUFFER
-    vec[CFG.EXC_CAP] = EXC_BUFFER
-    vec[CFG.WARM_LEN] = warm_len
+        vec[lib.CFG_OP_LAT + op] = fus.latencies[op]
+    vec[lib.CFG_WP_CAP] = WP_BUFFER
+    vec[lib.CFG_EXC_CAP] = EXC_BUFFER
+    vec[lib.CFG_WARM_LEN] = warm_len
     return vec
 
 
@@ -179,13 +174,9 @@ def _export_trace(ffi, lib, mach, trace) -> None:
     if n == 0:
         return
     columns = EXPORT_CACHE.trace_columns(trace)
-    for which, name in ((A.T_OP, "op"), (A.T_PC, "pc"), (A.T_DC, "dc"),
-                        (A.T_DEST, "dest"), (A.T_NSRC, "nsrc"),
-                        (A.T_TAKEN, "taken"), (A.T_TARGET, "target"),
-                        (A.T_ADDR, "addr")):
-        _i64_view(ffi, lib, mach, which, n)[:] = columns[name]
-    _i64_view(ffi, lib, mach, A.T_SRC_CLASS, 3 * n)[:] = columns["src_class"]
-    _i64_view(ffi, lib, mach, A.T_SRC_LOG, 3 * n)[:] = columns["src_log"]
+    for name, column in columns.items():
+        _i64_view(ffi, lib, mach, getattr(lib, f"A_T_{name.upper()}"),
+                  len(column))[:] = column
 
 
 def _export_warmup(ffi, lib, mach, warm_trace) -> None:
@@ -194,25 +185,24 @@ def _export_warmup(ffi, lib, mach, warm_trace) -> None:
     if n == 0:
         return
     columns = EXPORT_CACHE.warmup_columns(warm_trace)
-    for which, name in ((A.WU_OP, "op"), (A.WU_PC, "pc"),
-                        (A.WU_ADDR, "addr"), (A.WU_TAKEN, "taken"),
-                        (A.WU_TARGET, "target")):
-        _i64_view(ffi, lib, mach, which, n)[:] = columns[name]
+    for name, column in columns.items():
+        _i64_view(ffi, lib, mach, getattr(lib, f"A_WU_{name.upper()}"),
+                  len(column))[:] = column
 
 
 def _export_predictor(ffi, lib, mach, predictor) -> None:
-    table = np.frombuffer(ffi.buffer(lib.sim_i8(mach, 0),
+    table = np.frombuffer(ffi.buffer(lib.sim_gs_table(mach),
                                      predictor.table_size), dtype=np.int8)
     table[:] = np.frombuffer(predictor.table, dtype=np.int8)
-    lib.sim_set(mach, SC.GS_HISTORY, predictor.history)
+    lib.sim_set(mach, lib.SC_GS_HISTORY, predictor.history)
 
 
 def _export_btb(ffi, lib, mach, btb) -> None:
     assoc = btb.associativity
     n_sets = btb.n_sets
-    tag = _i64_view(ffi, lib, mach, A.B_TAG, n_sets * assoc)
-    target = _i64_view(ffi, lib, mach, A.B_TARGET, n_sets * assoc)
-    nway = _i64_view(ffi, lib, mach, A.B_NWAY, n_sets)
+    tag = _i64_view(ffi, lib, mach, lib.A_B_TAG, n_sets * assoc)
+    target = _i64_view(ffi, lib, mach, lib.A_B_TARGET, n_sets * assoc)
+    nway = _i64_view(ffi, lib, mach, lib.A_B_NWAY, n_sets)
     for index, ways in enumerate(btb._sets):
         if not ways:
             continue
@@ -223,12 +213,14 @@ def _export_btb(ffi, lib, mach, btb) -> None:
             target[base + pos] = entry_target
 
 
-def _export_cache(ffi, lib, mach, cache, which_tag: int) -> None:
+def _export_cache(ffi, lib, mach, cache, level: str) -> None:
     assoc = cache.config.associativity
     n_sets = cache._n_sets
-    tag = _i64_view(ffi, lib, mach, which_tag, n_sets * assoc)
-    dirty = _i64_view(ffi, lib, mach, which_tag + 1, n_sets * assoc)
-    nway = _i64_view(ffi, lib, mach, which_tag + 2, n_sets)
+    tag = _i64_view(ffi, lib, mach, getattr(lib, f"A_{level}_TAG"),
+                    n_sets * assoc)
+    dirty = _i64_view(ffi, lib, mach, getattr(lib, f"A_{level}_DIRTY"),
+                      n_sets * assoc)
+    nway = _i64_view(ffi, lib, mach, getattr(lib, f"A_{level}_NWAY"), n_sets)
     for index, ways in cache._sets.items():
         if not ways:
             continue
@@ -243,11 +235,13 @@ def _export_cache(ffi, lib, mach, cache, which_tag: int) -> None:
 # Draw-buffer refills
 # ----------------------------------------------------------------------
 def _payload_columns(ffi, lib, mach, cap: int):
-    return {which: _i64_view(ffi, lib, mach, which, 2 * cap
-                             if which in (A.W_SRC_CLASS, A.W_SRC_LOG)
-                             else cap)
-            for which in (A.W_OP, A.W_DC, A.W_DEST, A.W_NSRC,
-                          A.W_SRC_CLASS, A.W_SRC_LOG, A.W_ADDR, A.W_TDELTA)}
+    """Views of the wrong-path payload buffer, keyed by column name."""
+    return {name: _i64_view(ffi, lib, mach,
+                            getattr(lib, f"A_W_{name.upper()}"),
+                            lib.WP_MAX_SRCS * cap if name.startswith("src_")
+                            else cap)
+            for name in ("op", "dc", "dest", "nsrc", "src_class", "src_log",
+                         "addr", "tdelta")}
 
 
 def _fill_wrongpath(columns, generator, start: int, stop: int) -> None:
@@ -257,10 +251,11 @@ def _fill_wrongpath(columns, generator, start: int, stop: int) -> None:
     exported ``tdelta`` is pc-independent and the C core can stamp the
     real pc in at fetch time (matching the Python front end exactly).
     """
-    w_op, w_dc = columns[A.W_OP], columns[A.W_DC]
-    w_dest, w_nsrc = columns[A.W_DEST], columns[A.W_NSRC]
-    w_src_class, w_src_log = columns[A.W_SRC_CLASS], columns[A.W_SRC_LOG]
-    w_addr, w_tdelta = columns[A.W_ADDR], columns[A.W_TDELTA]
+    w_op, w_dc = columns["op"], columns["dc"]
+    w_dest, w_nsrc = columns["dest"], columns["nsrc"]
+    w_src_class, w_src_log = columns["src_class"], columns["src_log"]
+    w_addr, w_tdelta = columns["addr"], columns["tdelta"]
+    stride = len(w_src_class) // len(w_op)
     next_instruction = generator.next_instruction
     for i in range(start, stop):
         inst = next_instruction(0)
@@ -274,37 +269,37 @@ def _fill_wrongpath(columns, generator, start: int, stop: int) -> None:
         srcs = inst.srcs
         w_nsrc[i] = len(srcs)
         for s, (reg_class, log) in enumerate(srcs):
-            w_src_class[2 * i + s] = int(reg_class)
-            w_src_log[2 * i + s] = log
+            w_src_class[stride * i + s] = int(reg_class)
+            w_src_log[stride * i + s] = log
         w_addr[i] = inst.mem_addr
         w_tdelta[i] = inst.target >> 2 if inst.is_branch else 0
 
 
 def _refill_wrongpath(lib, mach, columns, generator, cap: int) -> None:
-    head = lib.sim_get(mach, SC.WP_HEAD)
-    count = lib.sim_get(mach, SC.WP_COUNT)
+    head = lib.sim_get(mach, lib.SC_WP_HEAD)
+    count = lib.sim_get(mach, lib.SC_WP_COUNT)
     remaining = count - head
     if remaining > 0 and head > 0:
         for column in columns.values():
-            stride = 2 if len(column) == 2 * cap else 1
+            stride = len(column) // cap
             keep = column[stride * head:stride * count].copy()
             column[:stride * remaining] = keep
     _fill_wrongpath(columns, generator, remaining, cap)
-    lib.sim_set(mach, SC.WP_HEAD, 0)
-    lib.sim_set(mach, SC.WP_COUNT, cap)
+    lib.sim_set(mach, lib.SC_WP_HEAD, 0)
+    lib.sim_set(mach, lib.SC_WP_COUNT, cap)
 
 
 def _refill_exceptions(ffi, lib, mach, rng, cap: int) -> None:
-    buf = np.frombuffer(ffi.buffer(lib.sim_f64(mach, 0), 8 * cap),
+    buf = np.frombuffer(ffi.buffer(lib.sim_exc_buf(mach), 8 * cap),
                         dtype=np.float64)
-    head = lib.sim_get(mach, SC.EXC_HEAD)
-    count = lib.sim_get(mach, SC.EXC_COUNT)
+    head = lib.sim_get(mach, lib.SC_EXC_HEAD)
+    count = lib.sim_get(mach, lib.SC_EXC_COUNT)
     remaining = count - head
     if remaining > 0 and head > 0:
         buf[:remaining] = buf[head:count].copy()
     buf[remaining:cap] = rng.random(cap - remaining)
-    lib.sim_set(mach, SC.EXC_HEAD, 0)
-    lib.sim_set(mach, SC.EXC_COUNT, cap)
+    lib.sim_set(mach, lib.SC_EXC_HEAD, 0)
+    lib.sim_set(mach, lib.SC_EXC_COUNT, cap)
 
 
 # ----------------------------------------------------------------------
@@ -320,67 +315,61 @@ def _miss_rate(hits: int, misses: int) -> float:
     return 0.0 if total == 0 else misses / total
 
 
-def _register_file_stats(st: "np.ndarray", base: int, num_physical: int,
-                         cycles: int) -> RegisterFileStats:
-    rf = st[base:base + 11]
+def _with_counters(cls, lib, prefix: str, block: "np.ndarray",
+                   values: dict):
+    """``cls(**values)``, every other field read from its STATS slot.
+
+    The slot of field ``name`` is ``lib.<prefix><NAME>`` (an index into
+    ``block``); a field without one raises ``AttributeError`` rather than
+    keep its dataclass default.
+    """
+    for field in dataclasses.fields(cls):
+        if field.name not in values:
+            slot = getattr(lib, prefix + field.name.upper())
+            values[field.name] = int(block[slot])
+    return cls(**values)
+
+
+def _register_file_stats(lib, st: "np.ndarray", base: int,
+                         num_physical: int, cycles: int) -> RegisterFileStats:
+    rf = st[base:base + lib.RF_N]
     totals = OccupancyTotals(cycles=cycles,
-                             empty=float(rf[RF.OCC_EMPTY]),
-                             ready=float(rf[RF.OCC_READY]),
-                             idle=float(rf[RF.OCC_IDLE]))
-    return RegisterFileStats(
-        num_physical=num_physical,
-        allocations=int(rf[RF.ALLOCS]),
-        releases=int(rf[RF.RELEASES]),
-        early_releases=int(rf[RF.EARLY]),
-        register_reuses=int(rf[RF.REUSES]),
-        immediate_releases=int(rf[RF.IMMEDIATE]),
-        scheduled_early_releases=int(rf[RF.SCHED_EARLY]),
-        conventional_releases=int(rf[RF.CONVENTIONAL]),
-        conditional_schedulings=int(rf[RF.CONDITIONAL]),
-        occupancy=totals.averages(),
-    )
+                             empty=float(rf[lib.RF_OCC_EMPTY]),
+                             ready=float(rf[lib.RF_OCC_READY]),
+                             idle=float(rf[lib.RF_OCC_IDLE]))
+    return _with_counters(RegisterFileStats, lib, "RF_", rf, {
+        "num_physical": num_physical,
+        "occupancy": totals.averages(),
+    })
 
 
-def _assemble_stats(state: "MachineState", st: "np.ndarray",
+def _assemble_stats(lib, state: "MachineState", st: "np.ndarray",
                     cycles: int) -> SimStats:
     cfg = state.config
-    stats = SimStats(benchmark=state.trace.name,
-                     release_policy=cfg.release_policy)
-    stats.cycles = cycles
-    stats.committed_instructions = int(st[ST.COMMITTED])
-    stats.committed_by_class = {
-        op.name: int(st[ST.BY_CLASS + int(op)])
-        for op in _OP_CLASSES if st[ST.BY_CLASS + int(op)]
-    }
-    stats.fetched_instructions = int(st[ST.FETCHED])
-    stats.fetched_wrong_path = int(st[ST.FETCHED_WP])
-    stats.renamed_instructions = int(st[ST.RENAMED])
-    stats.squashed_instructions = int(st[ST.SQUASHED])
-    stats.exceptions_taken = int(st[ST.EXCEPTIONS])
-    stats.branches_resolved = int(st[ST.BR_RESOLVED])
-    stats.branch_mispredictions = int(st[ST.BR_MISPRED])
-    stats.btb_hit_rate = _hit_rate(int(st[ST.BTB_HITS]),
-                                   int(st[ST.BTB_MISSES]))
-    stats.l1i_miss_rate = _miss_rate(int(st[ST.L1I_HITS]),
-                                     int(st[ST.L1I_MISSES]))
-    stats.l1d_miss_rate = _miss_rate(int(st[ST.L1D_HITS]),
-                                     int(st[ST.L1D_MISSES]))
-    stats.l2_miss_rate = _miss_rate(int(st[ST.L2_HITS]),
-                                    int(st[ST.L2_MISSES]))
-    stats.forwarded_loads = int(st[ST.FORWARDED])
-    stats.dispatch_stalls = {
-        "ros_full": int(st[ST.STALL_ROS]),
-        "lsq_full": int(st[ST.STALL_LSQ]),
-        "checkpoints_full": int(st[ST.STALL_CK]),
-        "no_free_int_register": int(st[ST.STALL_INT]),
-        "no_free_fp_register": int(st[ST.STALL_FP]),
-    }
-    stats.structural_stalls = int(st[ST.STRUCTURAL])
-    stats.int_registers = _register_file_stats(st, ST.RF_INT,
-                                               cfg.num_physical_int, cycles)
-    stats.fp_registers = _register_file_stats(st, ST.RF_FP,
-                                              cfg.num_physical_fp, cycles)
-    return stats
+
+    def count(name: str) -> int:
+        return int(st[getattr(lib, "ST_" + name)])
+
+    by_class = st[lib.ST_BY_CLASS:lib.ST_BY_CLASS + lib.N_OPS]
+    stall_slots = sorted((getattr(lib, name), name[len("ST_STALL_"):].lower())
+                         for name in dir(lib) if name.startswith("ST_STALL_"))
+    return _with_counters(SimStats, lib, "ST_", st, {
+        "benchmark": state.trace.name,
+        "release_policy": cfg.release_policy,
+        "cycles": cycles,
+        "committed_by_class": {op.name: int(by_class[op])
+                               for op in _OP_CLASSES if by_class[op]},
+        "btb_hit_rate": _hit_rate(count("BTB_HITS"), count("BTB_MISSES")),
+        "l1i_miss_rate": _miss_rate(count("L1I_HITS"), count("L1I_MISSES")),
+        "l1d_miss_rate": _miss_rate(count("L1D_HITS"), count("L1D_MISSES")),
+        "l2_miss_rate": _miss_rate(count("L2_HITS"), count("L2_MISSES")),
+        "dispatch_stalls": {reason: int(st[slot])
+                            for slot, reason in stall_slots},
+        "int_registers": _register_file_stats(
+            lib, st, lib.ST_RF_INT, cfg.num_physical_int, cycles),
+        "fp_registers": _register_file_stats(
+            lib, st, lib.ST_RF_FP, cfg.num_physical_fp, cycles),
+    })
 
 
 # ----------------------------------------------------------------------
@@ -415,8 +404,9 @@ def run_compiled(state: "MachineState", *,
     warm_len = len(warm_trace.instructions) if warm_trace is not None else 0
 
     ffi, lib = loader.load_core()
-    vec = _config_vector(state, warm_len)
-    mach = lib.sim_new(ffi.cast("long long *", ffi.from_buffer(vec)), NCFG)
+    vec = _config_vector(lib, state, warm_len)
+    mach = lib.sim_new(ffi.cast("long long *", ffi.from_buffer(vec)),
+                       lib.NCFG)
     if mach == ffi.NULL:
         logger.warning("compiled core rejected the configuration vector; "
                        "falling back to the Python engine")
@@ -429,16 +419,17 @@ def run_compiled(state: "MachineState", *,
     _export_predictor(ffi, lib, mach, state.predictor)
     _export_btb(ffi, lib, mach, state.btb)
     memory = state.memory
-    _export_cache(ffi, lib, mach, memory.l1i, A.L1I_TAG)
-    _export_cache(ffi, lib, mach, memory.l1d, A.L1D_TAG)
-    _export_cache(ffi, lib, mach, memory.l2, A.L2_TAG)
+    _export_cache(ffi, lib, mach, memory.l1i, "L1I")
+    _export_cache(ffi, lib, mach, memory.l1d, "L1D")
+    _export_cache(ffi, lib, mach, memory.l2, "L2")
 
     limit = (max_instructions if max_instructions is not None
              else len(state.trace.instructions))
-    lib.sim_set(mach, SC.COMMIT_LIMIT, limit)
-    lib.sim_set(mach, SC.MAX_CYCLES, -1 if max_cycles is None else max_cycles)
-    lib.sim_set(mach, SC.DEADLOCK, deadlock_threshold)
-    lib.sim_setf(mach, 0, state.config.exception_rate)
+    lib.sim_set(mach, lib.SC_COMMIT_LIMIT, limit)
+    lib.sim_set(mach, lib.SC_MAX_CYCLES,
+                -1 if max_cycles is None else max_cycles)
+    lib.sim_set(mach, lib.SC_DEADLOCK, deadlock_threshold)
+    lib.sim_set_exception_rate(mach, state.config.exception_rate)
 
     # Deep copies: the compiled attempt consumes these streams; a Python
     # fallback (deadlock, internal error) must see them untouched.
@@ -458,28 +449,29 @@ def run_compiled(state: "MachineState", *,
                   if wrongpath is not None else None)
 
     status = lib.sim_run(mach)
-    while status in (RUN_NEED_WRONGPATH, RUN_NEED_EXC):
-        if status == RUN_NEED_WRONGPATH:
+    while status in (lib.RUN_NEED_WRONGPATH, lib.RUN_NEED_EXC):
+        if status == lib.RUN_NEED_WRONGPATH:
             _refill_wrongpath(lib, mach, wp_columns, wrongpath, WP_BUFFER)
         else:
             _refill_exceptions(ffi, lib, mach, exc_rng, EXC_BUFFER)
         status = lib.sim_run(mach)
 
-    if status == RUN_DEADLOCK:
+    if status == lib.RUN_DEADLOCK:
         # Let the Python engine reproduce its own DeadlockError (message
         # includes live pipeline details only it can render).
         logger.debug("compiled core hit the deadlock threshold; deferring "
                      "to the Python engine")
         return None
-    if status != RUN_FINISHED:
+    if status != lib.RUN_FINISHED:
         logger.warning(
             "compiled core reported internal error %d (self-check escape); "
             "falling back to the Python engine",
-            lib.sim_get(mach, SC.ERROR) if status == RUN_INTERNAL else status)
+            lib.sim_get(mach, lib.SC_ERROR)
+            if status == lib.RUN_INTERNAL else status)
         return None
 
-    st = _i64_view(ffi, lib, mach, A.STATS, ST_N).copy()
-    cycles = int(lib.sim_get(mach, SC.CYCLE))
-    ready_peak = int(lib.sim_get(mach, SC.READY_PEAK))
-    return CompiledRun(stats=_assemble_stats(state, st, cycles),
+    st = _i64_view(ffi, lib, mach, lib.A_STATS, lib.ST_N).copy()
+    cycles = int(lib.sim_get(mach, lib.SC_CYCLE))
+    ready_peak = int(lib.sim_get(mach, lib.SC_READY_PEAK))
+    return CompiledRun(stats=_assemble_stats(lib, state, st, cycles),
                       ready_peak=ready_peak)

@@ -15,8 +15,12 @@
  * divergence is a bug caught by the equivalence suite, never a tolerated
  * approximation.
  *
- * The declarations between CDEF_START and CDEF_END are extracted
- * verbatim by the loader and handed to cffi; keep them ABI-stable.
+ * The declarations between CDEF_START and CDEF_END are the one
+ * declaration of the Python<->C ABI: the loader hands them to cffi, and
+ * Python reads every shared constant from the loaded library by name
+ * (lib.ST_..., lib.CFG_...).  A plain STATS counter is named ST_ (or RF_
+ * for the per-register-file block) plus its SimStats field in upper
+ * case; the stats assembly finds it by that name.
  */
 
 /* CDEF_START */
@@ -24,23 +28,27 @@ typedef struct Machine Machine;
 Machine *sim_new(const long long *cfg, int ncfg);
 void sim_free(Machine *m);
 long long *sim_i64(Machine *m, int which);
-double *sim_f64(Machine *m, int which);
-signed char *sim_i8(Machine *m, int which);
+double *sim_exc_buf(Machine *m);
+signed char *sim_gs_table(Machine *m);
 long long sim_get(Machine *m, int which);
 void sim_set(Machine *m, int which, long long value);
-void sim_setf(Machine *m, int which, double value);
+void sim_set_exception_rate(Machine *m, double rate);
 int sim_run(Machine *m);
-/* CDEF_END */
 
-#include <stdlib.h>
-#include <string.h>
+/* Op classes (repro.isa.OpClass) and the pool executing each
+ * (repro.isa.FU_KIND, pools numbered as repro.isa.FUKind). */
+enum {
+    OP_INT_ALU = 0, OP_INT_MULT, OP_FP_ADD, OP_FP_MULT, OP_FP_DIV,
+    OP_LOAD, OP_STORE, OP_BRANCH, OP_FP_LOAD, OP_FP_STORE, OP_NOP,
+    N_OPS,
+};
+enum { N_FU_KINDS = 6 };
+extern const int FU_KIND_OF[N_OPS];
 
-typedef long long i64;
-typedef signed char i8;
+/* Release policies (ProcessorConfig.release_policy). */
+enum { POLICY_CONV = 0, POLICY_BASIC, POLICY_EXTENDED };
 
-/* ------------------------------------------------------------------ */
-/* Config vector layout (mirrored in loader.py).                      */
-/* ------------------------------------------------------------------ */
+/* Config vector layout. */
 enum {
     CFG_TRACE_LEN = 0, CFG_FETCH_W, CFG_RENAME_W, CFG_ISSUE_W, CFG_COMMIT_W,
     CFG_MAX_TAKEN, CFG_FRONTEND, CFG_ROS, CFG_LSQ, CFG_CK_CAP,
@@ -51,10 +59,11 @@ enum {
     CFG_L1D_SETS, CFG_L1D_ASSOC, CFG_L1D_SHIFT, CFG_L1D_LAT,
     CFG_L2_SETS, CFG_L2_ASSOC, CFG_L2_SHIFT, CFG_L2_LAT,
     CFG_MEM_LAT,
-    CFG_FU = 34,          /* 6 x [count, unpipelined]  -> 34..45 */
-    CFG_OP_LAT = 46,      /* 11 op latencies           -> 46..56 */
-    CFG_WP_CAP = 57, CFG_EXC_CAP = 58, CFG_WARM_LEN = 59,
-    NCFG = 60,
+    CFG_FU_COUNT,                                   /* one per pool */
+    CFG_FU_UNPIPELINED = CFG_FU_COUNT + N_FU_KINDS, /* one per pool */
+    CFG_OP_LAT = CFG_FU_UNPIPELINED + N_FU_KINDS,   /* one per op class */
+    CFG_WP_CAP = CFG_OP_LAT + N_OPS, CFG_EXC_CAP, CFG_WARM_LEN,
+    NCFG,
 };
 
 /* Scalar ids for sim_get / sim_set. */
@@ -63,8 +72,6 @@ enum {
     SC_DEADLOCK, SC_WP_COUNT, SC_WP_HEAD, SC_EXC_COUNT, SC_EXC_HEAD,
     SC_GS_HISTORY, SC_READY_PEAK, SC_SEQ, SC_ABI_MAGIC,
 };
-
-#define ABI_MAGIC 0x52503701LL
 
 /* Array ids for sim_i64. */
 enum {
@@ -80,11 +87,56 @@ enum {
     A_WU_OP, A_WU_PC, A_WU_ADDR, A_WU_TAKEN, A_WU_TARGET,
 };
 
+/* Source operands per instruction: trace rows hold MAX_SRCS, wrong-path
+ * payload rows WP_MAX_SRCS. */
+enum { MAX_SRCS = 3, WP_MAX_SRCS = 2 };
+
 /* sim_run statuses. */
 enum {
-    RUN_FINISHED = 0, RUN_NEED_WRONGPATH = 1, RUN_NEED_EXC = 2,
-    RUN_DEADLOCK = 3, RUN_INTERNAL = 4,
+    RUN_FINISHED = 0, RUN_NEED_WRONGPATH, RUN_NEED_EXC,
+    RUN_DEADLOCK, RUN_INTERNAL,
 };
+
+/* Per-register-file STATS block (RegisterFileStats). */
+enum {
+    RF_ALLOCATIONS = 0, RF_RELEASES, RF_EARLY_RELEASES, RF_REGISTER_REUSES,
+    RF_IMMEDIATE_RELEASES, RF_SCHEDULED_EARLY_RELEASES,
+    RF_CONVENTIONAL_RELEASES, RF_CONDITIONAL_SCHEDULINGS,
+    RF_OCC_EMPTY, RF_OCC_READY, RF_OCC_IDLE,
+    RF_N,
+};
+
+/* STATS slots (int64 counters).  ST_STALL_<REASON> is the
+ * SimStats.dispatch_stalls entry <reason>. */
+enum {
+    ST_COMMITTED_INSTRUCTIONS = 0,
+    ST_BY_CLASS,                                    /* one per op class */
+    ST_FETCHED_INSTRUCTIONS = ST_BY_CLASS + N_OPS,
+    ST_FETCHED_WRONG_PATH, ST_RENAMED_INSTRUCTIONS,
+    ST_SQUASHED_INSTRUCTIONS, ST_EXCEPTIONS_TAKEN,
+    ST_BRANCHES_RESOLVED, ST_BRANCH_MISPREDICTIONS,
+    ST_BTB_HITS, ST_BTB_MISSES,
+    ST_L1I_HITS, ST_L1I_MISSES, ST_L1D_HITS, ST_L1D_MISSES,
+    ST_L2_HITS, ST_L2_MISSES,
+    ST_FORWARDED_LOADS,
+    ST_STALL_ROS_FULL, ST_STALL_LSQ_FULL, ST_STALL_CHECKPOINTS_FULL,
+    ST_STALL_NO_FREE_INT_REGISTER, ST_STALL_NO_FREE_FP_REGISTER,
+    ST_STRUCTURAL_STALLS,
+    ST_RF_INT,                                      /* RF_N slots each */
+    ST_RF_FP = ST_RF_INT + RF_N,
+    ST_N = ST_RF_FP + RF_N,
+};
+/* CDEF_END */
+
+#ifndef REPRO_ABI_DIGEST
+#error "build through repro.engine.accel.loader (defines REPRO_ABI_DIGEST)"
+#endif
+
+#include <stdlib.h>
+#include <string.h>
+
+typedef long long i64;
+typedef signed char i8;
 
 /* Internal error details (SC_ERROR), for diagnostics only. */
 enum {
@@ -93,41 +145,12 @@ enum {
     E_READY_POOL,
 };
 
-/* Op classes / predicates (repro.isa.opcodes). */
-enum {
-    OP_INT_ALU = 0, OP_INT_MULT, OP_FP_ADD, OP_FP_MULT, OP_FP_DIV,
-    OP_LOAD, OP_STORE, OP_BRANCH, OP_FP_LOAD, OP_FP_STORE, OP_NOP,
-    N_OPS,
-};
-static const int FU_KIND_OF[N_OPS] = {0, 1, 2, 3, 4, 5, 5, 0, 5, 5, 0};
+const int FU_KIND_OF[N_OPS] = {0, 1, 2, 3, 4, 5, 5, 0, 5, 5, 0};
 #define IS_LOAD(op)   ((op) == OP_LOAD || (op) == OP_FP_LOAD)
 #define IS_STORE(op)  ((op) == OP_STORE || (op) == OP_FP_STORE)
 #define IS_MEM(op)    (IS_LOAD(op) || IS_STORE(op))
 #define IS_BRANCH(op) ((op) == OP_BRANCH)
 
-/* STATS slots (int64 counters; per-class blocks at the end). */
-enum {
-    ST_COMMITTED = 0,
-    ST_BY_CLASS = 1,                /* 1..11: one per op class */
-    ST_FETCHED = 12, ST_FETCHED_WP, ST_RENAMED, ST_SQUASHED, ST_EXCEPTIONS,
-    ST_BR_RESOLVED, ST_BR_MISPRED, ST_BTB_HITS, ST_BTB_MISSES,
-    ST_L1I_HITS, ST_L1I_MISSES, ST_L1D_HITS, ST_L1D_MISSES,
-    ST_L2_HITS, ST_L2_MISSES, ST_FORWARDED,
-    ST_STALL_ROS, ST_STALL_LSQ, ST_STALL_CK, ST_STALL_INT, ST_STALL_FP,
-    ST_STRUCTURAL,
-    ST_RF_INT = 34, ST_RF_FP = 45,  /* 11 slots per class, see RF_* */
-    ST_N = 56,
-};
-/* Per-class block offsets. */
-enum {
-    RF_ALLOCS = 0, RF_RELEASES, RF_EARLY, RF_REUSES, RF_IMMEDIATE,
-    RF_SCHED_EARLY, RF_CONVENTIONAL, RF_CONDITIONAL,
-    RF_OCC_EMPTY, RF_OCC_READY, RF_OCC_IDLE,
-};
-
-#define RQ_LEVELS_MAX 256       /* compiled ceiling; depth itself is
-                                 * config-derived (max_pending_branches) */
-#define MAX_SRCS 3
 
 /* ------------------------------------------------------------------ */
 /* Sub-structures.                                                    */
@@ -207,10 +230,10 @@ struct Machine {
     i64 mem_lat;
 
     /* functional units */
-    i64 fu_count[6], fu_unpip[6];
-    i64 fu_last_cycle[6], fu_used[6];
+    i64 fu_count[N_FU_KINDS], fu_unpip[N_FU_KINDS];
+    i64 fu_last_cycle[N_FU_KINDS], fu_used[N_FU_KINDS];
     i64 *fu_free_at;            /* unpipelined units, fu_off[kind] slices */
-    i64 fu_off[6];
+    i64 fu_off[N_FU_KINDS];
     i64 op_lat[N_OPS];
 
     /* register files: class 0 = INT, 1 = FP */
@@ -230,7 +253,7 @@ struct Machine {
     i8 *lus_slot[2];
 
     /* policy */
-    int policy;                 /* 0 conv, 1 basic, 2 extended */
+    int policy;                 /* POLICY_* */
     int reuse_on_committed_lu;
 
     /* ROS (ring of rows) */
@@ -529,7 +552,7 @@ static void release_reg(Machine *m, int c, int reg, i64 cycle, int early) {
     m->occ_lu[c][reg] = -1;
     i64 *rf = m->st + (c ? ST_RF_FP : ST_RF_INT);
     rf[RF_RELEASES]++;
-    if (early) rf[RF_EARLY]++;
+    if (early) rf[RF_EARLY_RELEASES]++;
 }
 
 /* _release_physical: release + stale-architectural-mapping bookkeeping. */
@@ -556,7 +579,7 @@ static int rf_allocate(Machine *m, int c, i64 cycle, i64 producer,
     m->occ_alloc[c][reg] = cycle;
     m->occ_write[c][reg] = -1;
     m->occ_lu[c][reg] = -1;
-    m->st[(c ? ST_RF_FP : ST_RF_INT) + RF_ALLOCS]++;
+    m->st[(c ? ST_RF_FP : ST_RF_INT) + RF_ALLOCATIONS]++;
     return reg;
 }
 
@@ -814,7 +837,7 @@ static int lsq_store_forwards(Machine *m, i64 load_seq, i64 addr) {
             (m->l_addr[slot] & ~7LL) == target)
             hit = 1;
     }
-    if (hit) m->st[ST_FORWARDED]++;
+    if (hit) m->st[ST_FORWARDED_LOADS]++;
     return hit;
 }
 
@@ -923,7 +946,7 @@ static void ck_push(Machine *m, i64 seq) {
                (size_t)nl * sizeof(int));
         memcpy(m->ck_stale[c] + (i64)slot * nl, m->map_stale[c],
                (size_t)nl * sizeof(i8));
-        if (m->policy != 0) {
+        if (m->policy != POLICY_CONV) {
             memcpy(m->ck_lus_seq[c] + (i64)slot * nl, m->lus_seq[c],
                    (size_t)nl * sizeof(i64));
             memcpy(m->ck_lus_slot[c] + (i64)slot * nl, m->lus_slot[c],
@@ -963,7 +986,7 @@ static void ck_mispredict(Machine *m, i64 seq) {
         memcpy(m->map_stale[c], m->ck_stale[c] + (i64)slot * nl,
                (size_t)nl * sizeof(i8));
     }
-    if (m->policy != 0) {
+    if (m->policy != POLICY_CONV) {
         for (int c = 0; c < 2; c++) {
             i64 nl = m->nlog[c];
             memcpy(m->lus_seq[c], m->ck_lus_seq[c] + (i64)slot * nl,
@@ -1232,12 +1255,12 @@ static void policy_on_commit(Machine *m, int c, int row) {
     int dc = m->r_dest_class[row];
     int dl = m->r_dest_log[row];
     i64 *rf = m->st + (c ? ST_RF_FP : ST_RF_INT);
-    if (m->policy == 0) {
+    if (m->policy == POLICY_CONV) {
         if (dc == c) {
             if (m->r_rel_old[row] && m->r_allocated_new[row] &&
                 m->r_old_pd[row] >= 0) {
                 release_physical(m, c, m->r_old_pd[row], dl, m->cycle, 0);
-                rf[RF_CONVENTIONAL]++;
+                rf[RF_CONVENTIONAL_RELEASES]++;
             }
             m->arch_released[c][dl] = 0;
         }
@@ -1245,11 +1268,11 @@ static void policy_on_commit(Machine *m, int c, int row) {
     }
     if (dc == c) m->arch_released[c][dl] = 0;
     fire_early_mask(m, c, row);
-    if (m->policy == 1) {
+    if (m->policy == POLICY_BASIC) {
         if (dc == c && m->r_rel_old[row] && m->r_allocated_new[row] &&
             m->r_old_pd[row] >= 0) {
             release_physical(m, c, m->r_old_pd[row], dl, m->cycle, 0);
-            rf[RF_CONVENTIONAL]++;
+            rf[RF_CONVENTIONAL_RELEASES]++;
         }
     } else {
         rq_on_lu_commit(m, c, m->r_seq[row], row);
@@ -1261,19 +1284,19 @@ static int rename_destination(Machine *m, int c, int row, int logical,
                               int old_pd, i64 this_seq) {
     i64 *rf = m->st + (c ? ST_RF_FP : ST_RF_INT);
     if (m->map_stale[c][logical]) return OUT_ALLOC_NOREL;
-    if (m->policy == 0) return OUT_ALLOC_REL;
+    if (m->policy == POLICY_CONV) return OUT_ALLOC_REL;
 
     i64 lu_seq = m->lus_seq[c][logical];
-    if (m->policy == 1) {
+    if (m->policy == POLICY_BASIC) {
         if (lu_seq < 0) return OUT_ALLOC_REL;
         if (ck_has_pending_younger(m, lu_seq)) return OUT_ALLOC_REL;
         if (lu_seq <= m->committed_watermark) {
             if (m->reuse_on_committed_lu) {
-                rf[RF_REUSES]++;
+                rf[RF_REGISTER_REUSES]++;
                 return OUT_REUSE;
             }
             release_physical(m, c, old_pd, logical, m->cycle, 1);
-            rf[RF_IMMEDIATE]++;
+            rf[RF_IMMEDIATE_RELEASES]++;
             return OUT_ALLOC_NOREL;
         }
         int lu_row = ros_find(m, lu_seq);
@@ -1284,7 +1307,7 @@ static int rename_destination(Machine *m, int c, int row, int logical,
         phys_of_slot(m, lu_row, bit, &sc, &sp, &sl);
         if (sp != old_pd) return OUT_ALLOC_REL;
         m->r_mask[lu_row] |= bit;
-        rf[RF_SCHED_EARLY]++;
+        rf[RF_SCHEDULED_EARLY_RELEASES]++;
         return OUT_ALLOC_NOREL;
     }
 
@@ -1293,26 +1316,26 @@ static int rename_destination(Machine *m, int c, int row, int logical,
     if (lu_seq < 0 || lu_seq <= m->committed_watermark) {
         if (pending == 0) {
             if (m->reuse_on_committed_lu) {
-                rf[RF_REUSES]++;
+                rf[RF_REGISTER_REUSES]++;
                 return OUT_REUSE;
             }
             release_physical(m, c, old_pd, logical, m->cycle, 1);
-            rf[RF_IMMEDIATE]++;
+            rf[RF_IMMEDIATE_RELEASES]++;
             return OUT_ALLOC_NOREL;
         }
         rq_schedule_committed(m, c, old_pd, logical, this_seq);
-        rf[RF_CONDITIONAL]++;
+        rf[RF_CONDITIONAL_SCHEDULINGS]++;
         return OUT_ALLOC_NOREL;
     }
     int lu_row = (lu_seq == this_seq) ? row : ros_find(m, lu_seq);
     if (lu_row < 0) {
         if (pending == 0) {
             release_physical(m, c, old_pd, logical, m->cycle, 1);
-            rf[RF_IMMEDIATE]++;
+            rf[RF_IMMEDIATE_RELEASES]++;
             return OUT_ALLOC_NOREL;
         }
         rq_schedule_committed(m, c, old_pd, logical, this_seq);
-        rf[RF_CONDITIONAL]++;
+        rf[RF_CONDITIONAL_SCHEDULINGS]++;
         return OUT_ALLOC_NOREL;
     }
     int bit = (m->lus_slot[c][logical] == 3)
@@ -1326,25 +1349,25 @@ static int rename_destination(Machine *m, int c, int row, int logical,
     }
     if (pending == 0) {
         m->r_mask[lu_row] |= bit;
-        rf[RF_SCHED_EARLY]++;
+        rf[RF_SCHEDULED_EARLY_RELEASES]++;
         return OUT_ALLOC_NOREL;
     }
     rq_schedule_inflight(m, c, lu_seq, bit, this_seq);
-    rf[RF_CONDITIONAL]++;
+    rf[RF_CONDITIONAL_SCHEDULINGS]++;
     return OUT_ALLOC_NOREL;
 }
 
 /* Can this destination rename proceed with an empty free list? */
 static int may_avoid_allocation(Machine *m, int c, int logical, DQEnt *d) {
-    if (m->policy == 0) return 0;
+    if (m->policy == POLICY_CONV) return 0;
     if (m->map_stale[c][logical]) return 0;
     for (int s = 0; s < d->nsrc; s++)
         if (d->src_class[s] == c && d->src_log[s] == logical) return 0;
     i64 lu_seq = m->lus_seq[c][logical];
-    if (lu_seq < 0) return m->policy == 2 && m->ck_count == 0;
+    if (lu_seq < 0) return m->policy == POLICY_EXTENDED && m->ck_count == 0;
     if (ck_has_pending_younger(m, lu_seq)) return 0;
     if (lu_seq > m->committed_watermark) return 0;
-    if (m->policy == 2 && m->ck_count > 0) return 0;
+    if (m->policy == POLICY_EXTENDED && m->ck_count > 0) return 0;
     return 1;
 }
 
@@ -1360,7 +1383,7 @@ static void make_issue_ready(Machine *m, int row) {
 
 /* Undo rename effects of already-squash-marked rows (youngest first). */
 static void undo_squashed(Machine *m, int *rows, i64 n) {
-    m->st[ST_SQUASHED] += n;
+    m->st[ST_SQUASHED_INSTRUCTIONS] += n;
     i64 nfreed[2] = {0, 0};
     for (i64 i = 0; i < n; i++) {
         int row = rows[i];
@@ -1418,7 +1441,7 @@ static void recover_from_misprediction(Machine *m, int row) {
     i64 n = ros_squash_younger(m, seq, m->scratch_rows);
     undo_squashed(m, m->scratch_rows, n);
     lsq_squash_younger(m, seq);
-    if (m->policy == 2) {
+    if (m->policy == POLICY_EXTENDED) {
         rq_on_branch_mispredicted(m, 0, seq);
         rq_on_branch_mispredicted(m, 1, seq);
     }
@@ -1450,8 +1473,8 @@ static void exception_flush(Machine *m, int exc_row) {
         i64 nl = m->nlog[c];
         for (i64 log = 0; log < nl; log++)
             if (m->arch_released[c][log]) m->map_stale[c][log] = 1;
-        if (m->policy != 0) fill_i64(m->lus_seq[c], nl, -1);
-        if (m->policy == 2) rq_clear(m, c);
+        if (m->policy != POLICY_CONV) fill_i64(m->lus_seq[c], nl, -1);
+        if (m->policy == POLICY_EXTENDED) rq_clear(m, c);
     }
     m->dq_head = 0;
     m->dq_count = 0;
@@ -1495,10 +1518,10 @@ static void commit_stage(Machine *m) {
         last_row = row;
         if (m->status) return;
     }
-    m->st[ST_COMMITTED] += retire;
+    m->st[ST_COMMITTED_INSTRUCTIONS] += retire;
     m->last_commit_cycle = m->cycle;
     if (exc_at >= 0) {
-        m->st[ST_EXCEPTIONS]++;
+        m->st[ST_EXCEPTIONS_TAKEN]++;
         exception_flush(m, last_row);
     }
 }
@@ -1535,14 +1558,14 @@ static void resolve_branch(Machine *m, int row) {
         gs_resolve(m, m->r_pred_idx[row], m->r_pred_hist[row], taken,
                    m->r_pred_raw[row]);
     if (taken) btb_update(m, m->r_pc[row], m->r_target[row]);
-    if (!m->r_wrong_path[row]) m->st[ST_BR_RESOLVED]++;
+    if (!m->r_wrong_path[row]) m->st[ST_BRANCHES_RESOLVED]++;
     if (m->r_fetch_mispred[row]) {
-        m->st[ST_BR_MISPRED]++;
+        m->st[ST_BRANCH_MISPREDICTIONS]++;
         recover_from_misprediction(m, row);
     } else {
         i64 seq = m->r_seq[row];
         ck_confirm(m, seq);
-        if (m->policy == 2) {
+        if (m->policy == POLICY_EXTENDED) {
             rq_on_branch_confirmed(m, 0, seq);
             if (m->status) return;
             rq_on_branch_confirmed(m, 1, seq);
@@ -1588,7 +1611,7 @@ static void issue_stage(Machine *m) {
         int op = m->r_op[row];
         i64 lat = fu_try_issue(m, op, m->cycle);
         if (lat < 0) {
-            m->st[ST_STRUCTURAL]++;
+            m->st[ST_STRUCTURAL_STALLS]++;
             m->blocked_rows[nblocked++] = row;
             continue;
         }
@@ -1614,13 +1637,15 @@ static void issue_stage(Machine *m) {
 /* Stage: rename.                                                     */
 /* ------------------------------------------------------------------ */
 static int dispatch_hazard(Machine *m, DQEnt *d) {
-    if (m->ros_count >= m->ros_cap) return ST_STALL_ROS;
-    if (IS_MEM(d->op) && m->lsq_count >= m->lsq_cap) return ST_STALL_LSQ;
-    if (IS_BRANCH(d->op) && m->ck_count >= m->ck_cap) return ST_STALL_CK;
+    if (m->ros_count >= m->ros_cap) return ST_STALL_ROS_FULL;
+    if (IS_MEM(d->op) && m->lsq_count >= m->lsq_cap) return ST_STALL_LSQ_FULL;
+    if (IS_BRANCH(d->op) && m->ck_count >= m->ck_cap)
+        return ST_STALL_CHECKPOINTS_FULL;
     if (d->dest_class >= 0) {
         int c = d->dest_class;
         if (m->fl_count[c] == 0 && !may_avoid_allocation(m, c, d->dest, d))
-            return c ? ST_STALL_FP : ST_STALL_INT;
+            return c ? ST_STALL_NO_FREE_FP_REGISTER
+                     : ST_STALL_NO_FREE_INT_REGISTER;
     }
     return -1;
 }
@@ -1686,7 +1711,7 @@ static void rename_one(Machine *m, DQEnt *d) {
                 if (m->status) return;
             }
         }
-        if (m->policy != 0) {
+        if (m->policy != POLICY_CONV) {
             m->lus_seq[rc][log] = seq;
             m->lus_slot[rc][log] = (i8)s;
         }
@@ -1715,7 +1740,7 @@ static void rename_one(Machine *m, DQEnt *d) {
         m->r_pd[row] = pd;
         m->r_old_pd[row] = old_pd;
         m->r_rel_old[row] = (i8)(out == OUT_ALLOC_REL);
-        if (m->policy != 0) {
+        if (m->policy != POLICY_CONV) {
             m->lus_seq[c][dl] = seq;
             m->lus_slot[c][dl] = 3;       /* DST_SLOT */
         }
@@ -1723,7 +1748,7 @@ static void rename_one(Machine *m, DQEnt *d) {
 
     if (IS_BRANCH(d->op)) {
         ck_push(m, seq);
-        if (m->policy == 2) {
+        if (m->policy == POLICY_EXTENDED) {
             rq_push_level(m, 0, seq);
             rq_push_level(m, 1, seq);
             if (m->status) return;
@@ -1740,7 +1765,7 @@ static void rename_one(Machine *m, DQEnt *d) {
         m->r_exception[row] = 1;
         m->seen_exception = 1;
     }
-    m->st[ST_RENAMED]++;
+    m->st[ST_RENAMED_INSTRUCTIONS]++;
     if (d->op == OP_NOP) {
         cq_schedule(m, m->cycle + 1, seq, row);
         m->r_issued[row] = 1;
@@ -1809,8 +1834,8 @@ static void fetch_stage(Machine *m) {
             d.dest = (int)m->w_dest[pi];
             d.nsrc = (int)m->w_nsrc[pi];
             for (int s = 0; s < d.nsrc; s++) {
-                d.src_class[s] = (int)m->w_src_class[pi * 2 + s];
-                d.src_log[s] = (int)m->w_src_log[pi * 2 + s];
+                d.src_class[s] = (int)m->w_src_class[pi * WP_MAX_SRCS + s];
+                d.src_log[s] = (int)m->w_src_log[pi * WP_MAX_SRCS + s];
             }
             d.addr = m->w_addr[pi];
             d.wrong_path = 1;
@@ -1864,8 +1889,8 @@ static void fetch_stage(Machine *m) {
         d.ready_cycle = m->cycle + m->cfg[CFG_FRONTEND];
         m->dq[(m->dq_head + m->dq_count) % m->dq_cap] = d;
         m->dq_count++;
-        m->st[ST_FETCHED]++;
-        if (d.wrong_path) m->st[ST_FETCHED_WP]++;
+        m->st[ST_FETCHED_INSTRUCTIONS]++;
+        if (d.wrong_path) m->st[ST_FETCHED_WRONG_PATH]++;
         if (IS_BRANCH(d.op) && d.pred_taken) {
             taken_seen++;
             if (taken_seen >= m->cfg[CFG_MAX_TAKEN]) break;
@@ -1950,7 +1975,7 @@ int sim_run(Machine *m) {
         fetch_stage(m);
         if (m->status) return m->status;
         m->cycle++;
-        if (m->st[ST_COMMITTED] >= m->commit_limit) break;
+        if (m->st[ST_COMMITTED_INSTRUCTIONS] >= m->commit_limit) break;
         if (m->ros_count == 0 && m->dq_count == 0 &&
             m->cursor >= m->trace_len && !m->on_wrong_path)
             break;
@@ -1983,8 +2008,6 @@ static void cache_init(Machine *m, CacheZ *c, i64 sets, i64 assoc,
 
 Machine *sim_new(const long long *cfg, int ncfg) {
     if (ncfg != NCFG) return 0;
-    if (cfg[CFG_POLICY] == 2 && cfg[CFG_CK_CAP] > RQ_LEVELS_MAX)
-        return 0;           /* Release Queue deeper than the compiled max */
     Machine *m = (Machine *)zmalloc(sizeof(Machine));
     if (!m) return 0;
     memcpy(m->cfg, cfg, sizeof(m->cfg));
@@ -2038,8 +2061,8 @@ Machine *sim_new(const long long *cfg, int ncfg) {
     m->w_dc = NEW_I64(wc);
     m->w_dest = NEW_I64(wc);
     m->w_nsrc = NEW_I64(wc);
-    m->w_src_class = NEW_I64(wc * 2);
-    m->w_src_log = NEW_I64(wc * 2);
+    m->w_src_class = NEW_I64(wc * WP_MAX_SRCS);
+    m->w_src_log = NEW_I64(wc * WP_MAX_SRCS);
     m->w_addr = NEW_I64(wc);
     m->w_tdelta = NEW_I64(wc);
 
@@ -2074,9 +2097,9 @@ Machine *sim_new(const long long *cfg, int ncfg) {
 
     /* functional units */
     i64 fu_total = 0;
-    for (int k = 0; k < 6; k++) {
-        m->fu_count[k] = cfg[CFG_FU + 2 * k];
-        m->fu_unpip[k] = cfg[CFG_FU + 2 * k + 1];
+    for (int k = 0; k < N_FU_KINDS; k++) {
+        m->fu_count[k] = cfg[CFG_FU_COUNT + k];
+        m->fu_unpip[k] = cfg[CFG_FU_UNPIPELINED + k];
         m->fu_last_cycle[k] = -1;
         m->fu_off[k] = fu_total;
         fu_total += m->fu_count[k];
@@ -2232,7 +2255,7 @@ Machine *sim_new(const long long *cfg, int ncfg) {
 
     /* release queues (extended only): depth = checkpoint capacity
      * (ProcessorConfig.max_pending_branches), not a hardwired constant */
-    if (m->policy == 2) {
+    if (m->policy == POLICY_EXTENDED) {
         i64 npmax = m->nphys[0] > m->nphys[1] ? m->nphys[0] : m->nphys[1];
         m->rq_levels = m->ck_cap > 0 ? m->ck_cap : 1;
         m->rq_rwns_cap = 2 * npmax + rc;
@@ -2296,7 +2319,7 @@ void sim_free(Machine *m) {
         free(m->arch_released[c]); free(m->lus_seq[c]); free(m->lus_slot[c]);
         free(m->ck_map[c]); free(m->ck_stale[c]);
         free(m->ck_lus_seq[c]); free(m->ck_lus_slot[c]);
-        if (m->policy == 2) {
+        if (m->policy == POLICY_EXTENDED) {
             for (i64 s = 0; s < m->rq_levels; s++) {
                 RQLevel *lv = &m->rq_slots[c][s];
                 free(lv->rwns_phys); free(lv->rwns_log); free(lv->rwns_nv);
@@ -2375,14 +2398,12 @@ long long *sim_i64(Machine *m, int which) {
     return 0;
 }
 
-double *sim_f64(Machine *m, int which) {
-    if (which == 0) return m->exc_buf;
-    return 0;
+double *sim_exc_buf(Machine *m) {
+    return m->exc_buf;
 }
 
-signed char *sim_i8(Machine *m, int which) {
-    if (which == 0) return m->gs_table;
-    return 0;
+signed char *sim_gs_table(Machine *m) {
+    return m->gs_table;
 }
 
 long long sim_get(Machine *m, int which) {
@@ -2400,7 +2421,7 @@ long long sim_get(Machine *m, int which) {
     case SC_GS_HISTORY: return m->gs_history;
     case SC_READY_PEAK: return m->ready_peak;
     case SC_SEQ: return m->seq;
-    case SC_ABI_MAGIC: return ABI_MAGIC;
+    case SC_ABI_MAGIC: return REPRO_ABI_DIGEST;
     }
     return -1;
 }
@@ -2420,6 +2441,6 @@ void sim_set(Machine *m, int which, long long value) {
     }
 }
 
-void sim_setf(Machine *m, int which, double value) {
-    if (which == 0) m->exception_rate = value;
+void sim_set_exception_rate(Machine *m, double rate) {
+    m->exception_rate = rate;
 }

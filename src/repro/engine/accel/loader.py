@@ -8,13 +8,21 @@ shared library with the system compiler and talks to it through cffi's
 ABI mode (``ffi.dlopen``), which needs no ``Python.h`` and no build-time
 extension machinery.
 
+The declarations between the ``CDEF`` markers of ``core.c`` are the
+only declaration of the ABI: they are handed to ``ffi.cdef`` and every
+shared constant (config offsets, scalar and array ids, STATS slots, run
+statuses, op and policy codes) is read from the loaded ``lib`` by name.
+
 Build products are cached by content digest in
 ``$REPRO_ACCEL_CACHE`` (default ``~/.cache/repro/accel``); a source or
-compiler change produces a new file name, so stale binaries can never be
-loaded.  ``$REPRO_ACCEL_CC`` overrides the compiler invocation (the
-toolchain-failure tests point it at a nonexistent binary) and
-``$REPRO_ACCEL_CFLAGS`` appends extra flags after the defaults (the
-sanitizer CI job builds with ``-O1 -fsanitize=address,undefined``).
+compiler change produces a new file name.  The same digest is compiled
+into the library (``-DREPRO_ABI_DIGEST``) and read back after loading,
+so a library built from any other source or flags is refused even when
+it sits at the expected path.  ``$REPRO_ACCEL_CC`` overrides the
+compiler invocation (the toolchain-failure tests point it at a
+nonexistent binary) and ``$REPRO_ACCEL_CFLAGS`` appends extra flags
+after the defaults (the sanitizer CI job builds with
+``-O1 -fsanitize=address,undefined``).
 
 Every failure mode — missing cffi, missing/broken compiler, dlopen
 failure, ABI mismatch — raises :class:`ToolchainError`; the backend
@@ -32,10 +40,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Tuple
 
-__all__ = ["ToolchainError", "load_core", "reset_loader_cache",
-           "CFG", "SC", "A", "ST", "RF", "NCFG", "ST_N", "RQ_LEVELS_MAX",
-           "ABI_MAGIC", "RUN_FINISHED", "RUN_NEED_WRONGPATH",
-           "RUN_NEED_EXC", "RUN_DEADLOCK", "RUN_INTERNAL"]
+__all__ = ["ToolchainError", "load_core", "reset_loader_cache"]
 
 
 class ToolchainError(RuntimeError):
@@ -59,84 +64,6 @@ CFLAGS_ENV = "REPRO_ACCEL_CFLAGS"
 
 _DEFAULT_CC = "cc"
 _CC_FALLBACKS = ("cc", "gcc", "clang")
-
-
-# ----------------------------------------------------------------------
-# Constant mirrors of the enums in core.c.  Kept as simple namespaces so
-# the exporter reads like the C it drives; the ABI magic check below
-# guards against the two sides drifting apart.
-# ----------------------------------------------------------------------
-class _Namespace:
-    def __init__(self, **values: int) -> None:
-        self.__dict__.update(values)
-
-
-#: Config vector layout (enum ``CFG_*`` in core.c).
-CFG = _Namespace(
-    TRACE_LEN=0, FETCH_W=1, RENAME_W=2, ISSUE_W=3, COMMIT_W=4,
-    MAX_TAKEN=5, FRONTEND=6, ROS=7, LSQ=8, CK_CAP=9,
-    NPHYS_INT=10, NPHYS_FP=11, NLOG_INT=12, NLOG_FP=13,
-    GSHARE_BITS=14, BTB_SETS=15, BTB_ASSOC=16,
-    POLICY=17, REUSE=18, WP_ENABLED=19, EXC_ENABLED=20,
-    L1I_SETS=21, L1I_ASSOC=22, L1I_SHIFT=23, L1I_LAT=24,
-    L1D_SETS=25, L1D_ASSOC=26, L1D_SHIFT=27, L1D_LAT=28,
-    L2_SETS=29, L2_ASSOC=30, L2_SHIFT=31, L2_LAT=32,
-    MEM_LAT=33, FU=34, OP_LAT=46, WP_CAP=57, EXC_CAP=58, WARM_LEN=59,
-)
-NCFG = 60
-
-#: Scalar ids (enum ``SC_*``).
-SC = _Namespace(
-    STATUS=0, ERROR=1, CYCLE=2, MAX_CYCLES=3, COMMIT_LIMIT=4,
-    DEADLOCK=5, WP_COUNT=6, WP_HEAD=7, EXC_COUNT=8, EXC_HEAD=9,
-    GS_HISTORY=10, READY_PEAK=11, SEQ=12, ABI_MAGIC=13,
-)
-
-#: Array ids (enum ``A_*``).
-A = _Namespace(
-    T_OP=0, T_PC=1, T_DC=2, T_DEST=3, T_NSRC=4, T_SRC_CLASS=5,
-    T_SRC_LOG=6, T_TAKEN=7, T_TARGET=8, T_ADDR=9,
-    W_OP=10, W_DC=11, W_DEST=12, W_NSRC=13, W_SRC_CLASS=14,
-    W_SRC_LOG=15, W_ADDR=16, W_TDELTA=17,
-    B_TAG=18, B_TARGET=19, B_NWAY=20,
-    L1I_TAG=21, L1I_DIRTY=22, L1I_NWAY=23,
-    L1D_TAG=24, L1D_DIRTY=25, L1D_NWAY=26,
-    L2_TAG=27, L2_DIRTY=28, L2_NWAY=29,
-    STATS=30,
-    WU_OP=31, WU_PC=32, WU_ADDR=33, WU_TAKEN=34, WU_TARGET=35,
-)
-
-#: STATS slots (enum ``ST_*``).
-ST = _Namespace(
-    COMMITTED=0, BY_CLASS=1,
-    FETCHED=12, FETCHED_WP=13, RENAMED=14, SQUASHED=15, EXCEPTIONS=16,
-    BR_RESOLVED=17, BR_MISPRED=18, BTB_HITS=19, BTB_MISSES=20,
-    L1I_HITS=21, L1I_MISSES=22, L1D_HITS=23, L1D_MISSES=24,
-    L2_HITS=25, L2_MISSES=26, FORWARDED=27,
-    STALL_ROS=28, STALL_LSQ=29, STALL_CK=30, STALL_INT=31, STALL_FP=32,
-    STRUCTURAL=33, RF_INT=34, RF_FP=45,
-)
-ST_N = 56
-
-#: Per-register-class block offsets inside STATS (enum ``RF_*``).
-RF = _Namespace(
-    ALLOCS=0, RELEASES=1, EARLY=2, REUSES=3, IMMEDIATE=4,
-    SCHED_EARLY=5, CONVENTIONAL=6, CONDITIONAL=7,
-    OCC_EMPTY=8, OCC_READY=9, OCC_IDLE=10,
-)
-
-#: ``sim_run`` statuses.
-RUN_FINISHED = 0
-RUN_NEED_WRONGPATH = 1
-RUN_NEED_EXC = 2
-RUN_DEADLOCK = 3
-RUN_INTERNAL = 4
-
-#: Deepest Release Queue the compiled core accepts; the depth itself is
-#: config-derived (``ProcessorConfig.max_pending_branches``).
-RQ_LEVELS_MAX = 256
-
-ABI_MAGIC = 0x52503701
 
 
 # ----------------------------------------------------------------------
@@ -179,14 +106,26 @@ def _extra_cflags() -> Tuple[str, ...]:
     return tuple(shlex.split(os.environ.get(CFLAGS_ENV, "")))
 
 
+def _build_digest(source: str, cc: Tuple[str, ...],
+                  extra_flags: Tuple[str, ...], cffi_version: str) -> str:
+    """Hex digest of everything that determines the built library."""
+    digest = hashlib.sha256()
+    digest.update(source.encode())
+    digest.update(repr(cc).encode())
+    digest.update(repr(extra_flags).encode())
+    digest.update(cffi_version.encode())
+    return digest.hexdigest()
+
+
 def _compile(source_path: Path, out_path: Path, cc: Tuple[str, ...],
-             extra_flags: Tuple[str, ...] = ()) -> None:
+             extra_flags: Tuple[str, ...], abi_magic: int) -> None:
     """Compile ``core.c`` into ``out_path`` (atomic via tmp + rename)."""
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=out_path.parent, suffix=".so.tmp")
     os.close(fd)
-    command = list(cc) + ["-O2", "-shared", "-fPIC", *extra_flags,
-                          "-o", tmp_name, str(source_path)]
+    command = list(cc) + ["-O2", "-shared", "-fPIC",
+                          f"-DREPRO_ABI_DIGEST={abi_magic:#x}LL",
+                          *extra_flags, "-o", tmp_name, str(source_path)]
     try:
         proc = subprocess.run(command, capture_output=True, text=True,
                               timeout=300)
@@ -254,14 +193,12 @@ def _load_core_uncached() -> Tuple[object, object]:
 
     cc = _compiler_command()
     extra_flags = _extra_cflags()
-    digest = hashlib.sha256()
-    digest.update(source.encode())
-    digest.update(repr(cc).encode())
-    digest.update(repr(extra_flags).encode())
-    digest.update(getattr(cffi, "__version__", "?").encode())
-    so_path = build_cache_dir() / f"repro_core_{digest.hexdigest()[:16]}.so"
+    digest = _build_digest(source, cc, extra_flags,
+                           getattr(cffi, "__version__", "?"))
+    expected_magic = int(digest[:15], 16)      # fits a signed 64-bit int
+    so_path = build_cache_dir() / f"repro_core_{digest[:16]}.so"
     if not so_path.exists():
-        _compile(_SOURCE_PATH, so_path, cc, extra_flags)
+        _compile(_SOURCE_PATH, so_path, cc, extra_flags, expected_magic)
 
     ffi = cffi.FFI()
     try:
@@ -270,9 +207,9 @@ def _load_core_uncached() -> Tuple[object, object]:
     except Exception as exc:  # cffi raises several exception families here
         raise ToolchainError(f"cannot load {so_path}: {exc}") from exc
 
-    magic = lib.sim_get(ffi.NULL, SC.ABI_MAGIC)
-    if magic != ABI_MAGIC:
+    magic = lib.sim_get(ffi.NULL, lib.SC_ABI_MAGIC)
+    if magic != expected_magic:
         raise ToolchainError(
-            f"ABI magic mismatch: compiled core reports {magic:#x}, "
-            f"loader expects {ABI_MAGIC:#x}")
+            f"ABI magic mismatch: {so_path} reports {magic:#x}, but this "
+            f"source and these flags build {expected_magic:#x}")
     return ffi, lib

@@ -6,7 +6,7 @@ Two project-building styles:
   ``src/repro`` layout — used to trip each rule on minimal examples;
 * the ``real_tree_copy`` fixture (see ``conftest.py``) copies the real
   files a cross-file checker reads into the scratch layout — used by the
-  mutation tests, which delete one field/slot/ingredient with
+  mutation tests, which delete one field or ingredient with
   :func:`mutate` and assert the checker notices.
 """
 
@@ -19,14 +19,11 @@ from repro.checks.base import Project
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: Everything the stats-abi and cache-key checkers read.
+#: What the cache-key checker reads: the config surface, the key
+#: derivation, and an engine module full of real config reads.
 CROSS_FILE_INPUTS = (
-    "src/repro/pipeline/stats.py",
     "src/repro/pipeline/config.py",
-    "src/repro/engine/accel/core.c",
-    "src/repro/engine/accel/loader.py",
     "src/repro/engine/accel/compiled.py",
-    "src/repro/engine/accel/__init__.py",
     "src/repro/analysis/cache.py",
 )
 

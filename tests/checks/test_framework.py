@@ -17,9 +17,9 @@ DIRTY = "src/repro/engine/dirty.py"
 DIRTY_TEXT = "import random\n\nvalue = random.random()\n"
 
 
-def test_all_five_rules_registered():
-    assert set(CHECKERS) == {"determinism", "stats-abi", "cache-key",
-                             "async-blocking", "except-swallow"}
+def test_all_four_rules_registered():
+    assert set(CHECKERS) == {"determinism", "cache-key", "async-blocking",
+                             "except-swallow"}
     for checker in CHECKERS.values():
         assert checker.description
 
@@ -80,7 +80,7 @@ def test_bad_suppression_found_in_files_without_findings(tmp_path):
     file — otherwise it hides until the rule it disables first fires."""
     project = make_project(tmp_path, {
         "src/repro/quiet.py": "# repro-lint: disable=determinism\nx = 1\n"})
-    result = run_checks(project, rules=["stats-abi"])
+    result = run_checks(project, rules=["cache-key"])
     assert any(f.rule == "bad-suppression" for f in result.findings)
 
 

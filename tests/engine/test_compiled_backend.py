@@ -29,6 +29,10 @@ POLICIES = ("conv", "basic", "extended")
 WORKLOADS = ("gcc", "swim")
 TRACE_LENGTH = 2_000
 
+#: The paper's six pools plus one the compiled core does not model; no
+#: op class maps to the extra pool, so the Python engine runs it as is.
+_SEVEN_POOLS = FUConfig(counts={**FUConfig().counts, "vector": 2})
+
 
 def _compiled_available() -> bool:
     return accel.resolve_engine_backend(
@@ -121,11 +125,12 @@ class TestBitIdenticalStats:
                                           enable_wrong_path=False)
         assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
 
-    @pytest.mark.parametrize("depth", [4, 64])
+    @pytest.mark.parametrize("depth", [4, 64, 300])
     def test_config_derived_rq_depth_equivalence(self, depth):
         # The compiled Release Queue is sized from ``max_pending_branches``
-        # at export time (not a hardwired 20): both a shallower and a
-        # much deeper queue must stay bit-identical to the Python engine.
+        # at export time (not a hardwired 20, and with no ceiling): both
+        # a shallower and much deeper queues must stay bit-identical to
+        # the Python engine.
         reference, compiled, _ = run_both("gcc", "extended",
                                           max_pending_branches=depth)
         assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
@@ -300,23 +305,20 @@ class TestFallbackContract:
             accel.reset_backend_cache()
 
     def test_unsupported_config_falls_back_per_run(self):
-        # The Release Queue depth is config-derived (sized from
-        # ``max_pending_branches`` at export time), bounded only by the
-        # compiled core's ``RQ_LEVELS_MAX`` ceiling.  A config beyond the
-        # ceiling is outside the envelope — named clearly — and must run
-        # on the Python engine, whose Release Queue is also config-sized.
+        # The C core models exactly the paper's six functional-unit
+        # pools.  A config with a pool outside that model is outside the
+        # envelope — named clearly — and must run on the Python engine.
         from repro.engine.accel.compiled import unsupported_reason
-        from repro.engine.accel.loader import RQ_LEVELS_MAX
 
         trace = get_workload("gcc", 800, seed=0)
         inside = ProcessorConfig(release_policy="extended", warmup=False,
                                  max_pending_branches=64, engine="compiled")
         assert unsupported_reason(inside) is None
         config = ProcessorConfig(release_policy="extended", warmup=False,
-                                 max_pending_branches=RQ_LEVELS_MAX + 44,
+                                 functional_units=_SEVEN_POOLS,
                                  engine="compiled")
         reason = unsupported_reason(config)
-        assert reason is not None and str(RQ_LEVELS_MAX) in reason
+        assert reason is not None and "six-pool" in reason
         engine = SimulationEngine(trace, config)
         stats = engine.run()
         assert engine.backend_used == "python"
@@ -367,12 +369,10 @@ class TestWarmupDeferral:
     def test_out_of_envelope_config_does_not_defer(self):
         # A config the compiled core cannot run must warm up eagerly —
         # deferring would hand the Python engine a cold machine.
-        from repro.engine.accel.loader import RQ_LEVELS_MAX
-
         trace = get_workload("swim", 500, seed=0)
         state = SimulationEngine(trace, ProcessorConfig(
             engine="compiled", warmup=True, release_policy="extended",
-            max_pending_branches=RQ_LEVELS_MAX + 1)).state
+            functional_units=_SEVEN_POOLS)).state
         assert not state.warmup_pending
 
     def test_ensure_warm_runs_once(self):

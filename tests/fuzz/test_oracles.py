@@ -75,13 +75,17 @@ class TestGenerationSkips:
 
 class TestBackendSkips:
     def test_unsupported_config_skips_with_reason(self, good_sample):
+        # A seventh functional-unit pool is outside the compiled core's
+        # six-pool model.
+        pools = good_sample.config.functional_units
+        seven = dataclasses.replace(pools,
+                                    counts={**pools.counts, "vector": 2})
         config = dataclasses.replace(good_sample.config,
-                                     release_policy="extended",
-                                     max_pending_branches=300)
+                                     functional_units=seven)
         unsupported = dataclasses.replace(good_sample, config=config)
         outcome = run_oracle("backend", unsupported)
         assert outcome.status == "skip"
-        assert "max_pending_branches" in outcome.detail
+        assert "six-pool" in outcome.detail
 
     def test_toolchain_fallback_skips_with_reason(self, good_sample,
                                                   monkeypatch):
